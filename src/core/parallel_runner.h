@@ -3,8 +3,8 @@
 // The paper's campaign is embarrassingly parallel: 23 volunteer crawls that
 // never talk to each other, then 23 analyses that only read shared immutable
 // substrate (topology, DNS zones, geo database, filter lists). The runner
-// executes one task per country on a fixed-size util::ThreadPool and returns
-// results indexed exactly like the input country list, so downstream merges
+// executes one task per country on a fixed-size util::ThreadPool and hands
+// each result over under its input index, so downstream merges
 // (analysis::StudyStats and every figure) see the same deterministic country
 // order regardless of thread count or scheduling.
 //
@@ -45,71 +45,30 @@ class ParallelStudyRunner {
   /// Clamp a user-supplied --jobs value: 0 -> hardware threads, else as-is.
   static size_t resolve_jobs(size_t jobs);
 
-  /// Run stage(i, countries[i]) for every country concurrently and return
-  /// the results in input order. Exceptions from any task propagate after
-  /// all tasks have settled.
-  template <typename Fn>
-  auto map(const std::vector<std::string>& countries, Fn&& stage)
-      -> std::vector<std::invoke_result_t<Fn&, size_t, const std::string&>> {
-    using R = std::invoke_result_t<Fn&, size_t, const std::string&>;
-    std::vector<std::optional<R>> slots(countries.size());
-    util::parallel_for(pool_, countries.size(), [&](size_t i) {
-      // Per-country root span: the input index is the root ordinal, so the
-      // exported sim-time span stream is identical for any `jobs` value.
-      // Opened around the whole stage, so breaker retries and the degraded
-      // fallback land under the same root.
-      util::trace::ScopedSpan root(countries[i], "study", static_cast<uint32_t>(i));
-      slots[i].emplace(stage(i, countries[i]));
-    });
-    std::vector<R> out;
-    out.reserve(slots.size());
-    for (auto& slot : slots) out.push_back(std::move(*slot));
-    return out;
-  }
-
-  /// map() with a per-country circuit breaker. stage(i, country, attempt)
-  /// (attempt starting at 1) is retried up to `attempts` times when it
-  /// throws; once the budget is exhausted the breaker opens for that country
-  /// and fallback(i, country, what) supplies a degraded result instead — one
+  /// Run stage(i, country, attempt) for every country concurrently behind a
+  /// per-country circuit breaker: a throwing stage is retried up to
+  /// `attempts` times (attempt starts at 1), then the breaker opens and
+  /// fallback(i, country, what) supplies a degraded result instead — one
   /// wedged country must not sink the other 22. Deterministic: a stage that
   /// throws on draw-free preconditions (or on fault-plane decisions keyed by
-  /// country and attempt) yields the same outcome for any `jobs` value.
-  /// Counts breaker.task_failures per throw and breaker.open per degraded
-  /// country.
-  template <typename Fn, typename Fallback>
-  auto map_with_breaker(const std::vector<std::string>& countries, Fn&& stage,
-                        Fallback&& fallback, int attempts = 2)
-      -> std::vector<std::invoke_result_t<Fn&, size_t, const std::string&, int>> {
-    using R = std::invoke_result_t<Fn&, size_t, const std::string&, int>;
-    std::vector<std::optional<R>> slots(countries.size());
-    for_each_with_breaker(
-        countries, stage, fallback,
-        [&slots](size_t i, const std::string&, R&& r) { slots[i].emplace(std::move(r)); },
-        attempts);
-    std::vector<R> out;
-    out.reserve(slots.size());
-    for (auto& slot : slots) out.push_back(std::move(*slot));
-    return out;
-  }
-
-  /// Streaming flavor of map_with_breaker — the GammaShard fan-out. The
-  /// runner accumulates nothing: the moment a country settles (stage result
-  /// or, after the breaker opens, the fallback result),
-  /// consume(i, country, result&&) runs on that worker thread and the result
-  /// is destroyed when consume returns. With per-country artifacts published
-  /// from inside the stage, peak memory is bounded by the in-flight
-  /// countries (~jobs), not the country count. consume is called exactly
-  /// once per index, from the worker owning that index — it must be safe for
-  /// concurrent calls on distinct indices (e.g. writes to pre-sized slots)
-  /// and must not throw (a throw would escape the pool task).
+  /// country and attempt) settles the same way for any `jobs` value. Counts
+  /// breaker.task_failures per throw and breaker.open per degraded country.
+  ///
+  /// The runner accumulates nothing: consume(i, country, result&&) runs on
+  /// the worker the moment its country settles, exactly once per index, so
+  /// a caller that drops what it does not keep bounds peak memory by the
+  /// in-flight countries (~jobs). consume must be safe for concurrent calls
+  /// on distinct indices (e.g. writes to pre-sized slots) and must not throw.
   template <typename Fn, typename Fallback, typename Consume>
   void for_each_with_breaker(const std::vector<std::string>& countries, Fn&& stage,
                              Fallback&& fallback, Consume&& consume, int attempts = 2) {
     using R = std::invoke_result_t<Fn&, size_t, const std::string&, int>;
     if (attempts < 1) attempts = 1;
     util::parallel_for(pool_, countries.size(), [&](size_t i) {
-      // Per-country root span, as in map(): input index = root ordinal, so
-      // the exported sim-time span stream is identical for any `jobs`.
+      // Per-country root span: the input index is the root ordinal, so the
+      // exported sim-time span stream is identical for any `jobs` value.
+      // Opened around the whole stage, so breaker retries and the degraded
+      // fallback land under the same root.
       util::trace::ScopedSpan root(countries[i], "study", static_cast<uint32_t>(i));
       std::string last_error = "unknown failure";
       std::optional<R> settled;
@@ -130,8 +89,6 @@ class ParallelStudyRunner {
       consume(i, countries[i], std::move(*settled));
     });
   }
-
-  util::ThreadPool& pool() { return pool_; }
 
  private:
   util::ThreadPool pool_;

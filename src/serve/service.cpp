@@ -299,11 +299,9 @@ util::StatusOr<util::Json> Service::handle_submit_study(const util::Json& params
   }
   options.progress->finish(true);
 
-  analysis::PrevalenceReport prev = analysis::compute_prevalence(study.analyses);
-  analysis::FlowsReport flows = analysis::compute_flows(study.analyses);
   util::Json result = util::Json::object();
   result["job"] = static_cast<size_t>(job_id);
-  result["countries"] = study.analyses.size();
+  result["countries"] = study.countries();
   result["resumed_countries"] = study.resumed_countries;
   if (!options.shard_dir.empty()) {
     result["shards"] = study.shard_paths.size();
@@ -312,9 +310,20 @@ util::StatusOr<util::Json> Service::handle_submit_study(const util::Json& params
   util::Json degraded = util::Json::array();
   for (const std::string& c : study.degraded_countries) degraded.push_back(c);
   result["degraded"] = std::move(degraded);
-  result["summary"] = analysis::study_summary_json(study.analyses.size(), prev, flows);
+  if (options.shard_dir.empty()) {
+    analysis::PrevalenceReport prev = analysis::compute_prevalence(study.analyses);
+    analysis::FlowsReport flows = analysis::compute_flows(study.analyses);
+    result["summary"] = analysis::study_summary_json(study.countries(), prev, flows);
+  } else if (!options.store_out.empty()) {
+    // Shard mode keeps no analyses in memory: summarize the merged store,
+    // whose bytes equal the memory-mode store's.
+    store::Error error;
+    std::unique_ptr<store::Reader> merged = store::Reader::open(options.store_out, &error);
+    if (!merged) return util::Status::internal("submit_study: " + error.to_string());
+    result["summary"] = store::summary_json(*merged);
+  }
   if (!options.store_out.empty()) result["store"] = options.store_out;
-  util::log_info("serve", "study done: " + std::to_string(study.analyses.size()) +
+  util::log_info("serve", "study done: " + std::to_string(study.countries()) +
                               " countries, " +
                               std::to_string(study.resumed_countries) + " resumed");
   return result;

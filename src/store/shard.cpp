@@ -37,13 +37,11 @@ ShardWriteResult ShardWriter::write(size_t index, const analysis::CountryAnalysi
   meta.seed = meta_.seed;
   meta.targets_before_optout = meta_.targets_before_optout;
   meta.atlas_repaired_traces = atlas_repaired;
-  meta.resumed_countries = 0;  // resume reuses shard files, not rows
   if (degraded) meta.degraded_countries.push_back(analysis.country);
   meta.shard = ShardInfo{index, meta_.total_shards, analysis.country};
 
   Writer writer(std::move(meta));
   writer.set_faults(faults_);
-  writer.set_sync(sync_);
   writer.set_fault_key("shard");
 
   ShardWriteResult result;
@@ -120,7 +118,7 @@ struct LoadedShard {
 
 MergeResult merge_shards(const std::string& out_path,
                          const std::vector<std::string>& shard_paths,
-                         const util::FaultInjector* faults, bool sync) {
+                         const util::FaultInjector* faults) {
   util::trace::ScopedSpan span("store_merge", "store");
   span.arg("shards", static_cast<uint64_t>(shard_paths.size()));
   MergeResult result;
@@ -204,7 +202,6 @@ MergeResult merge_shards(const std::string& out_path,
   StudyMeta meta;
   meta.seed = std::strtoull(loaded[0].seed.c_str(), nullptr, 10);
   meta.targets_before_optout = loaded[0].targets;
-  meta.resumed_countries = 0;
   std::vector<analysis::CountryAnalysis> analyses;
   analyses.reserve(total);
   for (const LoadedShard* s : by_index) {
@@ -215,7 +212,6 @@ MergeResult merge_shards(const std::string& out_path,
 
   Writer writer(std::move(meta));
   writer.set_faults(faults);
-  writer.set_sync(sync);
   WriteResult w = writer.write(out_path, analyses);
   if (!w.ok()) {
     result.error = w.error;

@@ -68,7 +68,6 @@ class ShardWriter {
 
   /// Inject faults into the publish path (io fault family, key "shard").
   void set_faults(const util::FaultInjector* faults) { faults_ = faults; }
-  void set_sync(bool sync) { sync_ = sync; }
 
   /// Publish `analysis` as shard `index` of the study. `atlas_repaired` is
   /// this country's repaired-trace count; `degraded` marks a circuit-breaker
@@ -80,7 +79,6 @@ class ShardWriter {
   std::string dir_;
   ShardStudyMeta meta_;
   const util::FaultInjector* faults_ = nullptr;
-  bool sync_ = true;
 };
 
 struct MergeResult {
@@ -104,6 +102,6 @@ analysis::CountryAnalysis reconstruct_country(const class Reader& reader);
 /// whole-study write.
 MergeResult merge_shards(const std::string& out_path,
                          const std::vector<std::string>& shard_paths,
-                         const util::FaultInjector* faults = nullptr, bool sync = true);
+                         const util::FaultInjector* faults = nullptr);
 
 }  // namespace gam::store

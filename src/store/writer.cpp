@@ -102,7 +102,9 @@ util::Json meta_json(const StudyMeta& meta, size_t countries, size_t sites, size
   doc["seed"] = std::to_string(meta.seed);  // seeds may exceed double range
   doc["targets_before_optout"] = meta.targets_before_optout;
   doc["atlas_repaired_traces"] = meta.atlas_repaired_traces;
-  doc["resumed_countries"] = meta.resumed_countries;
+  // Always 0: a resumed study's store equals the uninterrupted one. The key
+  // stays until the next format version so existing store bytes don't move.
+  doc["resumed_countries"] = 0;
   util::Json degraded = util::Json::array();
   for (const auto& c : meta.degraded_countries) degraded.push_back(c);
   doc["degraded_countries"] = std::move(degraded);

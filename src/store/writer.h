@@ -42,7 +42,6 @@ struct StudyMeta {
   uint64_t seed = 0;
   size_t targets_before_optout = 0;
   size_t atlas_repaired_traces = 0;
-  size_t resumed_countries = 0;
   std::vector<std::string> degraded_countries;
   std::optional<ShardInfo> shard;
 };

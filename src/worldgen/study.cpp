@@ -24,26 +24,19 @@ namespace gam::worldgen {
 
 namespace {
 
-/// Everything one country's task produces; merged in country order.
+/// Everything one country's task produces; merged in country order. In
+/// shard mode only the bookkeeping survives the task: the dataset and
+/// analysis are dropped once the country's shard is published.
 struct CountryOutcome {
+  std::string country;
   core::VolunteerDataset dataset;
   analysis::CountryAnalysis analysis;
   size_t atlas_repaired = 0;
   bool degraded = false;       // circuit breaker opened; metadata-only outcome
   std::string degraded_reason;
   bool resumed = false;        // restored from the checkpoint journal
-};
-
-/// What one country's task leaves behind in shard mode: a pointer to the
-/// published artifact, never the data. The dataset and analysis are
-/// destroyed inside the stage — that is the streaming memory bound.
-struct ShardOutcome {
-  std::string path;
-  uint32_t crc = 0;
-  size_t atlas_repaired = 0;
-  bool degraded = false;
-  std::string country;
-  bool reused = false;  // intact shard adopted from a previous run's journal
+  std::string shard_path;      // shard mode: the published (or reused) shard
+  uint32_t shard_crc = 0;
 };
 
 /// Installs `faults` as the process-global io injector for a scope,
@@ -233,6 +226,23 @@ StudyResult run_study(World& world, const StudyOptions& options) {
     }
   }
 
+  // The two sinks. GammaShard mode (shard_dir set) publishes each country as
+  // a shard the moment it settles and drops it from memory; memory mode keeps
+  // every outcome for StudyResult and writes one store at the end. Everything
+  // between — measure, analyze, resume, journal, progress, breaker — is one
+  // code path, so both sinks draw identical substreams: the root of the
+  // merged-store byte-identity contract.
+  const bool sharded = !options.shard_dir.empty();
+  std::optional<store::ShardWriter> shard_writer;
+  if (sharded) {
+    std::error_code ec;
+    std::filesystem::create_directories(options.shard_dir, ec);
+    shard_writer.emplace(options.shard_dir,
+                         store::ShardStudyMeta{options.seed, countries.size(),
+                                               world.targets_before_optout});
+    shard_writer->set_faults(env.faults);
+  }
+
   // Analysis is recomputed even for resumed countries: it is pure and
   // deterministic given (dataset, analyze substream), which keeps the
   // journal small (datasets only) and the resumed output byte-identical.
@@ -250,9 +260,7 @@ StudyResult run_study(World& world, const StudyOptions& options) {
   // substream, so any interleaving reproduces the serial run exactly.
   core::ParallelStudyRunner runner(options.jobs);
 
-  // One country's full measurement chain. Shared verbatim by the legacy and
-  // shard stages, so both draw identical substreams — the root of the
-  // merged-store byte-identity contract.
+  // One country's full measurement chain.
   auto measure = [&](const std::string& code, int attempt, CountryOutcome& out) {
     // Whole-run abort, keyed per attempt so the breaker's retry can clear a
     // transient fault; a rate of 1.0 reliably opens the breaker.
@@ -301,6 +309,7 @@ StudyResult run_study(World& world, const StudyOptions& options) {
     span.arg("country", code);
     span.arg("reason", error);
     CountryOutcome out;
+    out.country = code;
     out.degraded = true;
     out.degraded_reason = error;
     out.dataset.country = code;
@@ -325,11 +334,85 @@ StudyResult run_study(World& world, const StudyOptions& options) {
     return out;
   };
 
+  // Journal restore. A memory record carries its dataset, whose analysis is
+  // recomputed; a shard record is reused only while the file's CRC still
+  // matches the journal — a deleted or torn shard is silently re-measured,
+  // and so is a record written by the other sink.
+  auto restore = [&](const std::string& code, CountryOutcome& out, util::Counter& restored) {
+    if (!journal) return false;
+    auto it = journal->completed().find(code);
+    if (it == journal->completed().end() || it->second.is_shard() != sharded) {
+      return false;
+    }
+    const CheckpointRecord& rec = it->second;
+    if (sharded) {
+      std::optional<uint32_t> crc = store::file_crc32(rec.shard_path);
+      if (!crc || *crc != rec.shard_crc) return false;
+    }
+    util::trace::ScopedSpan span(sharded ? "resume_shard" : "resume", "study");
+    span.arg("country", code);
+    out.atlas_repaired = rec.atlas_repaired;
+    out.degraded = rec.degraded;
+    out.degraded_reason = rec.degraded_reason;
+    out.shard_path = rec.shard_path;
+    out.shard_crc = rec.shard_crc;
+    out.resumed = true;
+    restored.inc();
+    if (sharded) {
+      util::log_info("study", "reused shard for " + code + ": " + rec.shard_path);
+    } else {
+      out.dataset = rec.dataset;
+      analyze_outcome(code, out);
+      util::log_info("study", "resumed " + code + " from checkpoint");
+    }
+    return true;
+  };
+
+  // Publish (shard mode), then journal. A failed shard write is returned
+  // before anything is journaled, so --resume never sees a shard that is not
+  // on disk.
+  auto publish = [&](size_t i, CountryOutcome& out) -> store::Error {
+    if (shard_writer) {
+      store::ShardWriteResult sw =
+          shard_writer->write(i, out.analysis, out.atlas_repaired, out.degraded);
+      if (!sw.ok()) return sw.error;
+      out.shard_path = sw.path;
+      out.shard_crc = sw.crc;
+      util::log_info("study", "published shard for " + out.country + ": " + sw.path);
+    }
+    if (journal) {
+      CheckpointRecord rec;
+      rec.country = out.country;
+      rec.atlas_repaired = out.atlas_repaired;
+      rec.degraded = out.degraded;
+      rec.degraded_reason = out.degraded_reason;
+      rec.shard_path = out.shard_path;
+      rec.shard_crc = out.shard_crc;
+      rec.shard_index = i;
+      if (!sharded) rec.dataset = out.dataset;
+      util::Status js = journal->append(rec);
+      if (!js.ok()) {
+        util::log_info("study", "checkpoint not durable for " + out.country + ": " +
+                                    js.to_string());
+      }
+    }
+    return {};
+  };
+
+  auto mark_settled = [&](size_t i, const CountryOutcome& out) {
+    if (!options.progress) return;
+    options.progress->mark(i, out.degraded ? StudyProgress::CountryState::kDegraded
+                              : sharded    ? StudyProgress::CountryState::kShardPublished
+                                           : StudyProgress::CountryState::kDone);
+  };
+
   auto stage = [&](size_t i, const std::string& code, int attempt) {
     static util::Counter& done =
         util::MetricsRegistry::instance().counter("study.countries");
-    static util::Counter& resumed =
-        util::MetricsRegistry::instance().counter("study.resumed_countries");
+    // Each sink has its own resume counter, registered only while that sink
+    // runs, so a study's metrics never name the other mode's counter.
+    util::Counter& restored = util::MetricsRegistry::instance().counter(
+        sharded ? "study.shards_reused" : "study.resumed_countries");
     static util::Histogram& wall =
         util::MetricsRegistry::instance().histogram("study.country_wall_ms");
     util::ScopedTimer timer(wall);
@@ -338,203 +421,60 @@ StudyResult run_study(World& world, const StudyOptions& options) {
       options.progress->mark(i, StudyProgress::CountryState::kRunning);
     }
     CountryOutcome out;
-
-    if (journal) {
-      auto it = journal->completed().find(code);
-      // Shard records carry no dataset — a legacy run cannot reuse them.
-      if (it != journal->completed().end() && !it->second.is_shard()) {
-        util::trace::ScopedSpan span("resume", "study");
-        span.arg("country", code);
-        out.dataset = it->second.dataset;
-        out.atlas_repaired = it->second.atlas_repaired;
-        out.degraded = it->second.degraded;
-        out.degraded_reason = it->second.degraded_reason;
-        out.resumed = true;
-        resumed.inc();
-        analyze_outcome(code, out);
-        util::log_info("study", "resumed " + code + " from checkpoint");
-        if (options.progress) {
-          options.progress->mark(i, StudyProgress::CountryState::kDone);
-        }
-        return out;
+    out.country = code;
+    if (!restore(code, out, restored)) {
+      measure(code, attempt, out);
+      analyze_outcome(code, out);
+      util::log_info("study", "analyzed " + code);
+      // A failed publish throws, so the breaker retries the whole
+      // (idempotent) chain — the crash-atomic rename means a half-published
+      // shard is impossible.
+      if (store::Error err = publish(i, out); !err.ok()) {
+        throw std::runtime_error("shard write failed for " + code + ": " +
+                                 err.to_string());
       }
     }
-
-    measure(code, attempt, out);
-    analyze_outcome(code, out);
-    util::log_info("study", "analyzed " + code);
-    if (journal) {
-      CheckpointRecord rec;
-      rec.country = code;
-      rec.dataset = out.dataset;
-      rec.atlas_repaired = out.atlas_repaired;
-      util::Status js = journal->append(rec);
-      if (!js.ok()) {
-        util::log_info("study", "checkpoint not durable for " + code + ": " +
-                                    js.to_string());
-      }
-    }
-    if (options.progress) {
-      options.progress->mark(i, StudyProgress::CountryState::kDone);
-    }
+    mark_settled(i, out);
     return out;
   };
 
   auto fallback = [&](size_t i, const std::string& code, const std::string& error) {
     CountryOutcome out = degraded_outcome(code, error);
-    if (options.progress) {
-      options.progress->mark(i, StudyProgress::CountryState::kDegraded);
+    if (store::Error err = publish(i, out); !err.ok()) {
+      // No shard for this country: surfaced later as a merge coverage
+      // failure rather than silently shipping a hole.
+      util::log_info("study", "degraded shard write failed for " + code + ": " +
+                                  err.to_string());
     }
-    if (journal) {
-      CheckpointRecord rec;
-      rec.country = code;
-      rec.dataset = out.dataset;
-      rec.degraded = true;
-      rec.degraded_reason = error;
-      util::Status js = journal->append(rec);
-      if (!js.ok()) {
-        util::log_info("study", "checkpoint not durable for " + code + ": " +
-                                    js.to_string());
-      }
-    }
+    mark_settled(i, out);
     return out;
   };
 
-  // ---- GammaShard streaming mode. ----
-  // Countries stream through the ShardWriter as they finish and are dropped
-  // from memory; only light ShardOutcome stubs (path + CRC) accumulate.
-  if (!options.shard_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(options.shard_dir, ec);
-    store::ShardWriter shard_writer(
-        options.shard_dir,
-        {options.seed, countries.size(), world.targets_before_optout});
-    shard_writer.set_faults(env.faults);
-
-    auto journal_shard = [&](const std::string& code, const ShardOutcome& so,
-                             const std::string& degraded_reason) {
-      if (!journal) return;
-      CheckpointRecord rec;
-      rec.country = code;
-      rec.atlas_repaired = so.atlas_repaired;
-      rec.degraded = so.degraded;
-      rec.degraded_reason = degraded_reason;
-      rec.shard_path = so.path;
-      rec.shard_crc = so.crc;
-      rec.shard_index = 0;
-      for (size_t i = 0; i < countries.size(); ++i) {
-        if (countries[i] == code) rec.shard_index = i;
-      }
-      util::Status js = journal->append(rec);
-      if (!js.ok()) {
-        util::log_info("study", "checkpoint not durable for " + code + ": " +
-                                    js.to_string());
-      }
-    };
-
-    auto shard_stage = [&](size_t i, const std::string& code, int attempt) {
-      static util::Counter& done =
-          util::MetricsRegistry::instance().counter("study.countries");
-      static util::Counter& reused =
-          util::MetricsRegistry::instance().counter("study.shards_reused");
-      static util::Histogram& wall =
-          util::MetricsRegistry::instance().histogram("study.country_wall_ms");
-      util::ScopedTimer timer(wall);
-      done.inc();
-      if (options.progress) {
-        options.progress->mark(i, StudyProgress::CountryState::kRunning);
-      }
-      ShardOutcome so;
-      so.country = code;
-
-      if (journal) {
-        auto it = journal->completed().find(code);
-        if (it != journal->completed().end() && it->second.is_shard()) {
-          const CheckpointRecord& rec = it->second;
-          // Reuse only an intact shard: the file's CRC must still match the
-          // journal. A deleted or torn shard is silently re-measured.
-          if (auto crc = store::file_crc32(rec.shard_path);
-              crc && *crc == rec.shard_crc) {
-            util::trace::ScopedSpan span("resume_shard", "study");
-            span.arg("country", code);
-            so.path = rec.shard_path;
-            so.crc = rec.shard_crc;
-            so.atlas_repaired = rec.atlas_repaired;
-            so.degraded = rec.degraded;
-            so.reused = true;
-            reused.inc();
-            util::log_info("study", "reused shard for " + code + ": " + so.path);
-            if (options.progress) {
-              options.progress->mark(
-                  i, so.degraded ? StudyProgress::CountryState::kDegraded
-                                 : StudyProgress::CountryState::kShardPublished);
-            }
-            return so;
-          }
+  std::vector<CountryOutcome> outcomes(countries.size());
+  runner.for_each_with_breaker(
+      countries, stage, fallback, [&](size_t i, const std::string&, CountryOutcome&& out) {
+        if (sharded) {
+          // The shard holds the results: this country's dataset and analysis
+          // die here, on its worker — that is the streaming memory bound.
+          out.dataset = {};
+          out.analysis = {};
         }
-      }
+        outcomes[i] = std::move(out);
+      });
 
-      CountryOutcome out;
-      measure(code, attempt, out);
-      analyze_outcome(code, out);
-      // Publish before returning: a write failure throws, so the breaker
-      // retries the whole (idempotent) chain — the crash-atomic rename means
-      // a half-published shard is impossible.
-      store::ShardWriteResult sw =
-          shard_writer.write(i, out.analysis, out.atlas_repaired, false);
-      if (!sw.ok()) {
-        throw std::runtime_error("shard write failed for " + code + ": " +
-                                 sw.error.to_string());
-      }
-      so.path = sw.path;
-      so.crc = sw.crc;
-      so.atlas_repaired = out.atlas_repaired;
-      util::log_info("study", "published shard for " + code + ": " + so.path);
-      journal_shard(code, so, "");
-      if (options.progress) {
-        options.progress->mark(i, StudyProgress::CountryState::kShardPublished);
-      }
-      return so;
-      // `out` — this country's entire dataset and analysis — dies here.
-    };
-
-    auto shard_fallback = [&](size_t i, const std::string& code,
-                              const std::string& error) {
-      CountryOutcome out = degraded_outcome(code, error);
-      if (options.progress) {
-        options.progress->mark(i, StudyProgress::CountryState::kDegraded);
-      }
-      ShardOutcome so;
-      so.country = code;
-      so.degraded = true;
-      store::ShardWriteResult sw = shard_writer.write(i, out.analysis, 0, true);
-      if (sw.ok()) {
-        so.path = sw.path;
-        so.crc = sw.crc;
-        journal_shard(code, so, error);
-      } else {
-        // No shard for this country: surfaced later as a merge coverage
-        // failure rather than silently shipping a hole.
-        util::log_info("study", "degraded shard write failed for " + code + ": " +
-                                    sw.error.to_string());
-      }
-      return so;
-    };
-
-    std::vector<ShardOutcome> outcomes(countries.size());
-    runner.for_each_with_breaker(
-        countries, shard_stage, shard_fallback,
-        [&outcomes](size_t i, const std::string&, ShardOutcome&& so) {
-          outcomes[i] = std::move(so);
-        });
-
-    for (const ShardOutcome& so : outcomes) {
-      result.atlas_repaired_traces += so.atlas_repaired;
-      if (so.degraded) result.degraded_countries.push_back(so.country);
-      if (so.reused) ++result.shards_reused;
-      if (!so.path.empty()) result.shard_paths.push_back(so.path);
+  // Deterministic merge: input country order, independent of scheduling.
+  for (CountryOutcome& out : outcomes) {
+    result.atlas_repaired_traces += out.atlas_repaired;
+    if (out.degraded) result.degraded_countries.push_back(out.country);
+    if (out.resumed) ++(sharded ? result.shards_reused : result.resumed_countries);
+    if (!out.shard_path.empty()) result.shard_paths.push_back(out.shard_path);
+    if (!sharded) {
+      result.datasets.push_back(std::move(out.dataset));
+      result.analyses.push_back(std::move(out.analysis));
     }
+  }
 
+  if (sharded) {
     if (!options.store_out.empty()) {
       store::MergeResult merged =
           store::merge_shards(options.store_out, result.shard_paths, env.faults);
@@ -548,20 +488,6 @@ StudyResult run_study(World& world, const StudyOptions& options) {
     return result;
   }
 
-  std::vector<CountryOutcome> outcomes =
-      runner.map_with_breaker(countries, stage, fallback);
-
-  // Deterministic merge: input country order, independent of scheduling.
-  result.datasets.reserve(outcomes.size());
-  result.analyses.reserve(outcomes.size());
-  for (CountryOutcome& out : outcomes) {
-    result.atlas_repaired_traces += out.atlas_repaired;
-    if (out.resumed) ++result.resumed_countries;
-    if (out.degraded) result.degraded_countries.push_back(out.dataset.country);
-    result.datasets.push_back(std::move(out.dataset));
-    result.analyses.push_back(std::move(out.analysis));
-  }
-
   if (options.anonymize) {
     for (auto& dataset : result.datasets) core::anonymize(dataset);
   }
@@ -571,7 +497,6 @@ StudyResult run_study(World& world, const StudyOptions& options) {
     meta.seed = options.seed;
     meta.targets_before_optout = result.targets_before_optout;
     meta.atlas_repaired_traces = result.atlas_repaired_traces;
-    meta.resumed_countries = result.resumed_countries;
     meta.degraded_countries = result.degraded_countries;
     store::Writer writer(meta);
     writer.set_faults(env.faults);

@@ -28,10 +28,11 @@ namespace gam::worldgen {
 /// ParallelStudyRunner's stage/fallback callbacks; observers snapshot it
 /// at any time from any thread.
 ///
-/// Country state machine (DESIGN §14):
-///   pending -> running -> done             (legacy stage, incl. journal resume)
-///   pending -> running -> shard_published  (shard stage, incl. shard reuse)
-///   pending -> running -> degraded         (circuit breaker fallback)
+/// Country state machine (DESIGN §14), one stage for both sinks:
+///   pending -> running -> done             (memory sink, incl. journal resume)
+///   pending -> running -> shard_published  (shard sink, incl. shard reuse)
+///   pending -> running -> degraded         (breaker fallback, or a journaled
+///                                           degraded country resumed)
 /// Terminal states never regress (a breaker retry re-marks running only
 /// from pending), so observed completed-counts are monotonically
 /// non-decreasing — the kill+resume status test's invariant.
@@ -87,6 +88,10 @@ struct StudyResult {
   // and `analyses` stay empty — that is the point: results live on disk.
   std::vector<std::string> shard_paths;
   size_t shards_reused = 0;
+
+  /// Countries the study delivered, whichever sink held them: one analysis
+  /// each in memory mode, one published shard each in shard mode.
+  size_t countries() const { return analyses.size() + shard_paths.size(); }
 };
 
 struct StudyOptions {

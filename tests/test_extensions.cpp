@@ -8,7 +8,6 @@
 #include "analysis/regional_variation.h"
 #include "cdn/cdn.h"
 #include "geoloc/pipeline.h"
-#include "probe/tls.h"
 #include "web/har.h"
 #include "worldgen/study.h"
 #include "worldgen/world.h"
@@ -82,50 +81,6 @@ TEST(Har, RejectsNonHar) {
   EXPECT_FALSE(web::har_is_valid(util::Json::object()));
   auto j = util::Json::parse(R"({"log":{"version":"1.1"}})");
   EXPECT_FALSE(web::har_is_valid(*j));
-}
-
-// ------------------------------------------------------------------- TLS
-
-TEST_F(ExtensionsFixture, TlsProbeHandshake) {
-  probe::TlsProbeEngine engine(world_->topology, world_->registry, *world_->resolver);
-  const core::VolunteerProfile& vol = world_->volunteer("GB");
-  dns::Answer ans = world_->resolver->resolve("doubleclick.net", "GB");
-  ASSERT_FALSE(ans.nxdomain());
-  util::Rng rng(4);
-  probe::TlsProbeOptions opts;
-  opts.sni_host = "doubleclick.net";
-  probe::TlsProbeResult r = engine.probe(vol.node, ans.primary(), opts, rng);
-  EXPECT_TRUE(r.handshake_ok);
-  EXPECT_NE(r.version, probe::TlsVersion::None);
-  EXPECT_FALSE(r.cipher.empty());
-  EXPECT_FALSE(r.cert_subject.empty());
-  EXPECT_GT(r.handshake_ms, 0.0);
-}
-
-TEST_F(ExtensionsFixture, TlsMajorPlatformsRunModernStacks) {
-  probe::TlsProbeEngine engine(world_->topology, world_->registry, *world_->resolver);
-  const core::VolunteerProfile& vol = world_->volunteer("PK");
-  dns::Answer ans = world_->resolver->resolve("googleapis.com", "PK");
-  ASSERT_FALSE(ans.nxdomain());
-  util::Rng rng(5);
-  probe::TlsProbeResult r = engine.probe(vol.node, ans.primary(), {}, rng);
-  ASSERT_TRUE(r.handshake_ok);
-  EXPECT_EQ(r.version, probe::TlsVersion::Tls13);
-  EXPECT_FALSE(r.weak());
-}
-
-TEST_F(ExtensionsFixture, TlsUnroutedTargetFails) {
-  probe::TlsProbeEngine engine(world_->topology, world_->registry, *world_->resolver);
-  const core::VolunteerProfile& vol = world_->volunteer("GB");
-  util::Rng rng(6);
-  probe::TlsProbeResult r = engine.probe(vol.node, 0x01020304, {}, rng);
-  EXPECT_FALSE(r.handshake_ok);
-  EXPECT_EQ(r.version, probe::TlsVersion::None);
-}
-
-TEST(Tls, VersionNames) {
-  EXPECT_EQ(probe::tls_version_name(probe::TlsVersion::Tls13), "TLSv1.3");
-  EXPECT_EQ(probe::tls_version_name(probe::TlsVersion::None), "none");
 }
 
 // -------------------------------------------------------------- ablation

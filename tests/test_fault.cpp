@@ -212,7 +212,8 @@ TEST(Retry, DeadlineBudgetStopsTheSchedule) {
 TEST(Breaker, RetriesThenFallsBackPerCountry) {
   core::ParallelStudyRunner runner(2);
   std::vector<std::string> countries = {"AA", "BB", "CC"};
-  auto out = runner.map_with_breaker(
+  std::vector<std::string> out(countries.size());
+  runner.for_each_with_breaker(
       countries,
       [](size_t, const std::string& code, int attempt) -> std::string {
         if (code == "BB") throw std::runtime_error("always down");
@@ -222,8 +223,8 @@ TEST(Breaker, RetriesThenFallsBackPerCountry) {
       [](size_t, const std::string& code, const std::string& error) {
         return "degraded:" + code + ":" + error;
       },
+      [&out](size_t i, const std::string&, std::string&& r) { out[i] = std::move(r); },
       /*attempts=*/2);
-  ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0], "AA#1");                       // clean first try
   EXPECT_EQ(out[1], "degraded:BB:always down");    // breaker opened
   EXPECT_EQ(out[2], "CC#2");                       // transient cleared on retry

@@ -250,6 +250,12 @@ struct HostAnchorCase {
   bool expect;
 };
 
+// Prints a case by its content, so the case's test name is the same in every
+// build (by default gtest prints the struct's bytes, i.e. its pointers).
+void PrintTo(const HostAnchorCase& c, std::ostream* os) {
+  *os << c.rule << (c.expect ? " =~ " : " !~ ") << c.url;
+}
+
 class HostAnchorSweep : public ::testing::TestWithParam<HostAnchorCase> {};
 
 TEST_P(HostAnchorSweep, Matches) {

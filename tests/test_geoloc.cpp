@@ -4,7 +4,6 @@
 #include "geoloc/pipeline.h"
 #include "geoloc/reference_latency.h"
 #include "ipmap/geodb.h"
-#include "ipmap/ipinfo.h"
 
 namespace gam::geoloc {
 namespace {
@@ -26,18 +25,6 @@ TEST(GeoDatabase, UnknownIpIsNullopt) {
   EXPECT_FALSE(db.lookup(42).has_value());
   db.inject_error(42, {"DE", "Frankfurt", {}});  // no-op for unknown addresses
   EXPECT_EQ(db.error_count(), 0u);
-}
-
-TEST(IpInfo, AnnotatesViaRegistry) {
-  net::AsRegistry reg;
-  reg.add({500, "AS-CLOUD", "Cloud Co", "US", net::AsKind::Cloud});
-  reg.announce(500, *net::Prefix::parse("10.0.0.0/16"));
-  ipmap::IpInfoAnnotator annotator(reg);
-  auto a = annotator.annotate(*net::parse_ip("10.0.1.2"));
-  ASSERT_TRUE(a.has_value());
-  EXPECT_EQ(a->org, "Cloud Co");
-  EXPECT_EQ(a->kind, net::AsKind::Cloud);
-  EXPECT_FALSE(annotator.annotate(*net::parse_ip("192.168.0.1")).has_value());
 }
 
 // -------------------------------------------------------------- reference

@@ -120,10 +120,12 @@ TEST(ParallelStudy, RunnerMapPreservesInputOrder) {
   core::ParallelStudyRunner runner(4);
   EXPECT_EQ(runner.jobs(), 4u);
   std::vector<std::string> countries = {"EG", "PK", "JP", "BR", "DE", "US", "GB", "IN"};
-  auto out = runner.map(countries, [](size_t i, const std::string& code) {
-    return std::to_string(i) + ":" + code;
-  });
-  ASSERT_EQ(out.size(), countries.size());
+  std::vector<std::string> out(countries.size());
+  runner.for_each_with_breaker(
+      countries,
+      [](size_t i, const std::string& code, int) { return std::to_string(i) + ":" + code; },
+      [](size_t, const std::string&, const std::string& error) { return error; },
+      [&out](size_t i, const std::string&, std::string&& r) { out[i] = std::move(r); });
   for (size_t i = 0; i < countries.size(); ++i) {
     EXPECT_EQ(out[i], std::to_string(i) + ":" + countries[i]);
   }

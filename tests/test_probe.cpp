@@ -4,7 +4,6 @@
 
 #include "dns/resolver.h"
 #include "probe/atlas.h"
-#include "probe/ping.h"
 #include "probe/traceroute.h"
 
 namespace gam::probe {
@@ -114,40 +113,6 @@ TEST_F(ProbeFixture, MaxTtlRespected) {
   TracerouteResult r = engine_->trace(client_, 0x0A000004, opts, rng);
   EXPECT_FALSE(r.reached);
   EXPECT_EQ(r.hops.size(), 1u);
-}
-
-// --------------------------------------------------------------- Ping
-
-TEST_F(ProbeFixture, PingBasics) {
-  PingEngine ping(topo_);
-  PingOptions opts;
-  opts.loss_prob = 0.0;
-  opts.unreachable_prob = 0.0;
-  util::Rng rng(8);
-  PingResult r = ping.ping(client_, 0x0A000004, opts, rng);
-  EXPECT_TRUE(r.reachable());
-  EXPECT_EQ(r.received, 4);
-  EXPECT_DOUBLE_EQ(r.loss_rate(), 0.0);
-  EXPECT_GT(r.min_rtt_ms(), 50.0);
-  EXPECT_GE(r.avg_rtt_ms(), r.min_rtt_ms());
-}
-
-TEST_F(ProbeFixture, PingUnreachable) {
-  PingEngine ping(topo_);
-  PingOptions opts;
-  opts.unreachable_prob = 1.0;
-  util::Rng rng(9);
-  PingResult r = ping.ping(client_, 0x0A000004, opts, rng);
-  EXPECT_FALSE(r.reachable());
-  EXPECT_DOUBLE_EQ(r.loss_rate(), 1.0);
-}
-
-TEST_F(ProbeFixture, PingUnroutedTarget) {
-  PingEngine ping(topo_);
-  PingOptions opts;
-  util::Rng rng(10);
-  PingResult r = ping.ping(client_, 0x01020304, opts, rng);
-  EXPECT_FALSE(r.reachable());
 }
 
 // --------------------------------------------------------------- Atlas

@@ -348,6 +348,83 @@ TEST(Resilience, InjectedJournalRewriteFailureLeavesJournalIntact) {
   EXPECT_EQ(run(resumed).resumed_countries, 1u);
 }
 
+// A resumed study's store is the uninterrupted study's store, byte for byte:
+// nothing in it records which countries came from the journal.
+TEST(Resilience, ResumedStoreEqualsUninterruptedStore) {
+  CheckpointDir dir("resume-store");
+  worldgen::StudyOptions options = subset_options({"EG", "AU", "GB"});
+  options.store_out = dir.path() + "-uninterrupted.gmst";
+  run(options);
+
+  worldgen::StudyOptions partial = subset_options({"EG"});
+  partial.checkpoint_dir = dir.path();
+  run(partial);
+
+  worldgen::StudyOptions resumed = options;
+  resumed.checkpoint_dir = dir.path();
+  resumed.resume = true;
+  resumed.store_out = dir.path() + "-resumed.gmst";
+  EXPECT_EQ(run(resumed).resumed_countries, 1u);
+  const std::string uninterrupted = slurp(options.store_out);
+  ASSERT_FALSE(uninterrupted.empty());
+  EXPECT_EQ(slurp(resumed.store_out), uninterrupted);
+}
+
+// A journaled degraded country resumes as degraded in both sinks: the
+// progress observer and StudyResult agree on it.
+TEST(Resilience, ResumedDegradedCountryReportsDegradedInBothSinks) {
+  util::FaultPlan plan;
+  plan.session_abort = 1.0;  // every attempt aborts -> both countries degrade
+  for (bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "shard mode" : "memory mode");
+    CheckpointDir dir(sharded ? "degraded-shard" : "degraded-memory");
+    worldgen::StudyOptions options = subset_options({"US", "GB"});
+    options.fault_plan = plan;
+    options.checkpoint_dir = dir.path();
+    if (sharded) options.shard_dir = dir.path() + "/shards";
+    run(options);
+
+    options.resume = true;
+    auto progress = std::make_shared<worldgen::StudyProgress>();
+    options.progress = progress;
+    worldgen::StudyResult resumed = run(options);
+    EXPECT_EQ(sharded ? resumed.shards_reused : resumed.resumed_countries, 2u);
+    EXPECT_EQ(resumed.degraded_countries, options.countries);
+
+    util::Json status = progress->status_json();
+    EXPECT_EQ(static_cast<size_t>(status.find("counts")->get_number("degraded")),
+              resumed.degraded_countries.size());
+    for (const std::string& code : options.countries) {
+      EXPECT_EQ(status.find("countries")->get_string(code), "degraded") << code;
+    }
+  }
+}
+
+// Each sink registers only its own resume counter, so a study's metrics
+// never name the other sink's. Registration is process-wide: the check bites
+// when no earlier study in the process registered that name (ctest runs each
+// test in a process of its own).
+void expect_only_own_resume_counter(bool sharded) {
+  const std::string own = sharded ? "study.shards_reused" : "study.resumed_countries";
+  const std::string other = sharded ? "study.resumed_countries" : "study.shards_reused";
+  CheckpointDir dir(sharded ? "counter-shard" : "counter-memory");
+  worldgen::StudyOptions options = subset_options({"EG"});
+  if (sharded) options.shard_dir = dir.path() + "/shards";
+  const size_t before = util::MetricsRegistry::instance().snapshot().counters.count(other);
+  run(options);
+  const util::MetricsSnapshot after = util::MetricsRegistry::instance().snapshot();
+  EXPECT_EQ(after.counters.count(own), 1u);
+  EXPECT_EQ(after.counters.count(other), before);
+}
+
+TEST(Resilience, MemorySinkRegistersOnlyItsResumeCounter) {
+  expect_only_own_resume_counter(false);
+}
+
+TEST(Resilience, ShardSinkRegistersOnlyItsResumeCounter) {
+  expect_only_own_resume_counter(true);
+}
+
 TEST(Resilience, BrowserFailuresAlwaysCarryClosedEnumReason) {
   // Japan's volunteer models the paper's flakiest loads; every failed page
   // must land in the closed taxonomy with a non-empty reason.

@@ -736,6 +736,37 @@ TEST(Serve, SubmitStudyResumesFromJournalByteIdentically) {
   EXPECT_EQ(result.find("summary")->dump(2), reference);
 }
 
+// Both sinks answer submit_study alike: a shard-mode study counts its
+// countries and summarizes its merged store, byte-equal to the memory-mode
+// reply; without a store_out there is nothing to summarize.
+TEST(Serve, ShardModeSubmitStudyCountsAndSummarizesLikeMemoryMode) {
+  auto server = start_server();
+  auto client = connect(*server);
+  auto submit = [&](const std::string& shard_dir, const std::string& store_out) {
+    util::Json params = util::Json::object();
+    params["seed"] = 41;
+    util::Json countries = util::Json::array();
+    countries.push_back("US");
+    countries.push_back("GB");
+    params["countries"] = std::move(countries);
+    params["shard_dir"] = shard_dir;
+    params["store_out"] = store_out;
+    return must_result(client->call("submit_study", std::move(params)));
+  };
+  util::Json memory = submit("", temp_path("submit_memory.gmst"));
+  util::Json sharded = submit(temp_path("submit_shards"), temp_path("submit_merged.gmst"));
+  util::Json unmerged = submit(temp_path("submit_shards_only"), "");
+
+  EXPECT_EQ(memory.get_number("countries"), 2);
+  EXPECT_EQ(sharded.get_number("countries"), 2);
+  EXPECT_EQ(sharded.get_number("shards"), 2);
+  EXPECT_EQ(unmerged.get_number("countries"), 2);
+  ASSERT_NE(memory.find("summary"), nullptr);
+  ASSERT_NE(sharded.find("summary"), nullptr);
+  EXPECT_EQ(sharded.find("summary")->dump(2), memory.find("summary")->dump(2));
+  EXPECT_EQ(unmerged.find("summary"), nullptr);
+}
+
 // ---------------------------------------------------------------------------
 // Transport variants and churn.
 

@@ -100,6 +100,12 @@ struct RegDomainCase {
   const char* expected;
 };
 
+// Prints a case by its content, so the case's test name is the same in every
+// build (by default gtest prints the struct's bytes, i.e. its pointers).
+void PrintTo(const RegDomainCase& c, std::ostream* os) {
+  *os << c.host << " -> " << c.expected;
+}
+
 class RegistrableDomainSweep : public ::testing::TestWithParam<RegDomainCase> {};
 
 TEST_P(RegistrableDomainSweep, ExtractsETldPlusOne) {

@@ -6,7 +6,7 @@
 # Smoke arms (each runs even if an earlier arm failed; any failure makes the
 # final exit nonzero):
 #   resume  kill a study mid-run with SIGKILL, --resume must reproduce the
-#           uninterrupted output byte-for-byte
+#           uninterrupted output and GMST store byte-for-byte
 #   store   build a .gmst, query it (bytes == JSON analysis path), corrupt a
 #           copy (structured crc_mismatch, never a crash)
 #   trace   record spans, aggregate with `gamma trace`, span stream
@@ -92,7 +92,7 @@ arm_resume() {
 EOF
   mkdir -p "$SMOKE/uninterrupted" "$SMOKE/resumed"
   "$GAMMA" study --seed 33 --jobs 1 --fault-plan "$SMOKE/plan.json" \
-    --out "$SMOKE/uninterrupted" >/dev/null
+    --out "$SMOKE/uninterrupted" --store-out "$SMOKE/uninterrupted.gmst" >/dev/null
   # SIGKILL the same study partway through (no destructors, no flush beyond
   # the journal's own per-record flush) ...
   timeout -s KILL 1 "$GAMMA" study --seed 33 --jobs 1 \
@@ -102,11 +102,14 @@ EOF
     journaled="$(wc -l < "$SMOKE/ckpt/study-33.jsonl")"
   fi
   echo "   killed after ~1s; journal holds $journaled lines (incl. header)"
-  # ... then --resume must reproduce the uninterrupted output byte-for-byte.
+  # ... then --resume must reproduce the uninterrupted output and store
+  # byte-for-byte.
   "$GAMMA" study --seed 33 --jobs 1 --fault-plan "$SMOKE/plan.json" \
-    --checkpoint "$SMOKE/ckpt" --resume --out "$SMOKE/resumed" | sed 's/^/   /'
+    --checkpoint "$SMOKE/ckpt" --resume --out "$SMOKE/resumed" \
+    --store-out "$SMOKE/resumed.gmst" | sed 's/^/   /'
   diff -r "$SMOKE/uninterrupted" "$SMOKE/resumed"
-  echo "   resumed output identical to uninterrupted run"
+  cmp "$SMOKE/uninterrupted.gmst" "$SMOKE/resumed.gmst"
+  echo "   resumed output and store identical to uninterrupted run"
 }
 
 arm_store() {

@@ -655,8 +655,7 @@ int cmd_study(const Args& args) {
   if (!options.shard_dir.empty()) {
     // GammaShard mode: per-country results live on disk, not in memory, so
     // the in-memory report path (and --out datasets) does not apply.
-    std::printf("%zu shards published to %s\n", study.shard_paths.size(),
-                args.shard_dir.c_str());
+    std::printf("%zu shards published to %s\n", study.countries(), args.shard_dir.c_str());
     if (study.shards_reused > 0) {
       std::printf("reused %zu intact shards from checkpoint\n", study.shards_reused);
     }
@@ -677,7 +676,7 @@ int cmd_study(const Args& args) {
   analysis::PrevalenceReport prev = analysis::compute_prevalence(study.analyses);
   analysis::FlowsReport flows = analysis::compute_flows(study.analyses);
   std::printf("%zu countries measured; %zu sites with non-local trackers\n",
-              study.analyses.size(), flows.sites_with_nonlocal);
+              study.countries(), flows.sites_with_nonlocal);
   if (study.resumed_countries > 0) {
     std::printf("resumed %zu countries from checkpoint\n", study.resumed_countries);
   }
@@ -776,9 +775,7 @@ int cmd_store(const Args& args) {
     options.checkpoint_dir = args.checkpoint;
     options.resume = args.resume;
     worldgen::StudyResult study = worldgen::run_study(*world, options);
-    size_t countries = options.shard_dir.empty() ? study.analyses.size()
-                                                 : study.shard_paths.size();
-    std::printf("wrote %s (%zu countries)\n", args.out.c_str(), countries);
+    std::printf("wrote %s (%zu countries)\n", args.out.c_str(), study.countries());
     return 0;
   }
   if (args.subcommand == "merge") {
