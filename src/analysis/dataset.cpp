@@ -8,22 +8,6 @@
 
 namespace gam::analysis {
 
-std::vector<const SiteAnalysis*> CountryAnalysis::sites_of(web::SiteKind kind) const {
-  std::vector<const SiteAnalysis*> out;
-  for (const auto& s : sites) {
-    if (s.kind == kind) out.push_back(&s);
-  }
-  return out;
-}
-
-size_t CountryAnalysis::loaded_sites() const {
-  size_t n = 0;
-  for (const auto& s : sites) {
-    if (s.loaded) ++n;
-  }
-  return n;
-}
-
 CountryAnalyzer::CountryAnalyzer(const geoloc::MultiConstraintGeolocator& geolocator,
                                  const trackers::TrackerIdentifier& identifier,
                                  const web::WebUniverse& universe)

@@ -57,9 +57,6 @@ struct CountryAnalysis {
   size_t traceroutes = 0;
   geoloc::FunnelCounters funnel;  // this country's share of the funnel
   std::set<std::string> dest_probe_countries;  // where destination probes sat
-
-  std::vector<const SiteAnalysis*> sites_of(web::SiteKind kind) const;
-  size_t loaded_sites() const;
 };
 
 /// Assembles CountryAnalysis objects. Holds non-owning references to the

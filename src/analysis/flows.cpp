@@ -4,58 +4,6 @@
 
 namespace gam::analysis {
 
-namespace {
-// Per-site destination sets, the unit everything else aggregates.
-struct SiteDest {
-  std::string source;
-  web::SiteKind kind;
-  std::set<std::string> dests;
-};
-
-std::vector<SiteDest> site_destinations(const std::vector<CountryAnalysis>& countries) {
-  std::vector<SiteDest> out;
-  for (const auto& c : countries) {
-    for (const auto& s : c.sites) {
-      if (!s.loaded || s.trackers.empty()) continue;
-      SiteDest sd;
-      sd.source = c.country;
-      sd.kind = s.kind;
-      for (const auto& t : s.trackers) sd.dests.insert(t.dest_country);
-      out.push_back(std::move(sd));
-    }
-  }
-  return out;
-}
-}  // namespace
-
-FlowsReport compute_flows(const std::vector<CountryAnalysis>& countries) {
-  FlowsReport report;
-  auto sites = site_destinations(countries);
-  report.sites_with_nonlocal = sites.size();
-
-  std::map<std::string, std::set<std::string>> fanin, fanin_reg, fanin_gov;
-  std::map<std::string, size_t> dest_site_count;
-  for (const auto& sd : sites) {
-    ++report.source_site_counts[sd.source];
-    for (const auto& dest : sd.dests) {
-      ++report.website_flows[sd.source][dest];
-      ++dest_site_count[dest];
-      fanin[dest].insert(sd.source);
-      (sd.kind == web::SiteKind::Regional ? fanin_reg : fanin_gov)[dest].insert(sd.source);
-    }
-  }
-  for (const auto& [dest, n] : dest_site_count) {
-    report.dest_pct[dest] =
-        report.sites_with_nonlocal == 0
-            ? 0.0
-            : 100.0 * static_cast<double>(n) / report.sites_with_nonlocal;
-  }
-  for (const auto& [dest, sources] : fanin) report.dest_fanin[dest] = sources.size();
-  for (const auto& [dest, sources] : fanin_reg) report.dest_fanin_reg[dest] = sources.size();
-  for (const auto& [dest, sources] : fanin_gov) report.dest_fanin_gov[dest] = sources.size();
-  return report;
-}
-
 double FlowsReport::dest_pct_excluding(std::string_view dest,
                                        std::string_view excluded_source) const {
   size_t total = 0, with_dest = 0;

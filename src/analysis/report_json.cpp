@@ -102,56 +102,6 @@ util::Json to_json(const FlowsReport& report) {
   return doc;
 }
 
-util::Json coverage_json(const std::vector<CountryAnalysis>& countries) {
-  util::Json doc = util::Json::object();
-  util::Json rows = util::Json::array();
-  for (const auto& c : countries) {
-    size_t loaded = 0;
-    for (const auto& s : c.sites) {
-      if (s.loaded) ++loaded;
-    }
-    util::Json row = util::Json::object();
-    row["country"] = c.country;
-    row["sites"] = c.sites.size();
-    row["loaded"] = loaded;
-    row["pct"] = c.sites.empty() ? 0.0
-                                 : 100.0 * static_cast<double>(loaded) / c.sites.size();
-    rows.push_back(std::move(row));
-  }
-  doc["rows"] = std::move(rows);
-  return doc;
-}
-
-util::Json funnel_json(const std::vector<CountryAnalysis>& countries) {
-  util::Json doc = util::Json::object();
-  util::Json rows = util::Json::array();
-  size_t nonlocal = 0, after_sol = 0, after_rdns = 0, dest_traces = 0;
-  for (const auto& c : countries) {
-    util::Json row = util::Json::object();
-    row["country"] = c.country;
-    row["unique_domains"] = c.unique_domains;
-    row["unique_ips"] = c.unique_ips;
-    row["traceroutes"] = c.traceroutes;
-    row["nonlocal_candidates"] = c.funnel.nonlocal_candidates;
-    row["after_sol"] = c.funnel.after_sol_constraints;
-    row["after_rdns"] = c.funnel.after_rdns;
-    row["dest_traceroutes"] = c.funnel.dest_traceroutes;
-    nonlocal += c.funnel.nonlocal_candidates;
-    after_sol += c.funnel.after_sol_constraints;
-    after_rdns += c.funnel.after_rdns;
-    dest_traces += c.funnel.dest_traceroutes;
-    rows.push_back(std::move(row));
-  }
-  doc["rows"] = std::move(rows);
-  util::Json totals = util::Json::object();
-  totals["nonlocal_candidates"] = nonlocal;
-  totals["after_sol"] = after_sol;
-  totals["after_rdns"] = after_rdns;
-  totals["dest_traceroutes"] = dest_traces;
-  doc["totals"] = std::move(totals);
-  return doc;
-}
-
 util::Json study_summary_json(size_t countries, const PrevalenceReport& prevalence,
                               const FlowsReport& flows) {
   util::Json summary = util::Json::object();

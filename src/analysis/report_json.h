@@ -1,11 +1,9 @@
 // Canonical JSON renderings of the §6 report structs.
 //
-// One emitter serves two producers: the in-memory analysis path
-// (compute_prevalence & friends over StudyResult) and the GammaStore query
-// path (store::reports over a mapped .gmst file). Byte-identity between the
-// two pipelines — the store's round-trip fidelity contract — is checked by
-// comparing these renderings, so any field added to a report must be added
-// here, once, for both.
+// The reports themselves are computed once, in analysis/reports.h, over
+// either study view: the in-memory analyses (compute_prevalence & friends)
+// or a mapped GMST store (store::reports). Both paths render through these
+// emitters, so any field added to a report is added here, once, for both.
 #pragma once
 
 #include "analysis/flows.h"
@@ -21,8 +19,8 @@ util::Json to_json(const PolicyReport& report);       // Table 1
 util::Json to_json(const PerSiteReport& report);      // Figure 4
 util::Json to_json(const FlowsReport& report);        // Figure 5 / §6.3
 
-/// Per-country site coverage (Figure 2b's load-success view, computed from
-/// the analysis substrate): {"rows": [{country, sites, loaded, pct}...]}.
+/// Per-country site coverage (Figure 2b's load-success view):
+/// {"rows": [{country, sites, loaded, pct}...]}.
 util::Json coverage_json(const std::vector<CountryAnalysis>& countries);
 
 /// Per-country §5 funnel tallies plus study-wide totals.

@@ -1,5 +1,7 @@
 #include "core/parallel_runner.h"
 
+#include <algorithm>
+
 #include "util/metrics.h"
 
 namespace gam::core {
@@ -19,6 +21,7 @@ size_t ParallelStudyRunner::resolve_jobs(size_t jobs) {
   return jobs == 0 ? util::ThreadPool::hardware_threads() : jobs;
 }
 
-ParallelStudyRunner::ParallelStudyRunner(size_t jobs) : pool_(resolve_jobs(jobs)) {}
+ParallelStudyRunner::ParallelStudyRunner(size_t jobs, size_t countries)
+    : pool_(std::clamp<size_t>(countries, 1, resolve_jobs(jobs))) {}
 
 }  // namespace gam::core

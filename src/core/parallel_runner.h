@@ -37,8 +37,9 @@ void breaker_count_open();
 class ParallelStudyRunner {
  public:
   /// `jobs == 0` means one worker per hardware thread; `jobs == 1` degrades
-  /// to serial execution (same code path, same results).
-  explicit ParallelStudyRunner(size_t jobs = 0);
+  /// to serial execution (same code path, same results). Never starts more
+  /// workers than the study has `countries` (and always at least one).
+  ParallelStudyRunner(size_t jobs, size_t countries);
 
   size_t jobs() const { return pool_.size(); }
 

@@ -50,9 +50,6 @@ class ZoneStore {
   /// True if any record type exists for `name`.
   bool has_name(std::string_view name) const;
 
-  size_t a_count() const { return a_.size(); }
-  size_t ptr_count() const { return ptr_.size(); }
-
  private:
   std::map<std::string, std::vector<net::IPv4>, std::less<>> a_;
   std::map<std::string, std::string, std::less<>> cname_;

@@ -35,7 +35,6 @@ void Topology::add_link(NodeId a, NodeId b, double inflation) {
 void Topology::add_link_latency(NodeId a, NodeId b, double one_way_ms) {
   adj_[a].push_back({b, one_way_ms});
   adj_[b].push_back({a, one_way_ms});
-  ++link_total_;
   invalidate_routes();
 }
 

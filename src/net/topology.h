@@ -72,13 +72,7 @@ class Topology {
   void add_link_latency(NodeId a, NodeId b, double one_way_ms);
 
   const Node& node(NodeId id) const { return nodes_[id]; }
-  Node& mutable_node(NodeId id) { return nodes_[id]; }
   size_t node_count() const { return nodes_.size(); }
-  size_t link_count() const { return link_total_; }
-
-  const std::vector<std::pair<NodeId, double>>& neighbors(NodeId id) const {
-    return adj_[id];
-  }
 
   /// Dijkstra shortest path by latency. nullopt if disconnected.
   /// Results are memoized per source node (single-source tree); the memo is
@@ -116,7 +110,6 @@ class Topology {
   std::vector<Node> nodes_;
   std::vector<std::vector<std::pair<NodeId, double>>> adj_;
   std::unordered_map<IPv4, NodeId> by_ip_;
-  size_t link_total_ = 0;
 
   // Route memo, sharded by source node to keep writer contention off the
   // read-mostly fast path. Each shard is independently reader/writer locked.

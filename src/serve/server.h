@@ -138,7 +138,6 @@ class Server {
   bool draining() const { return draining_.load(std::memory_order_acquire); }
 
   size_t active_sessions() const;
-  size_t reactor_count() const { return reactors_.size(); }
 
  private:
   explicit Server(ServerOptions options);

@@ -3,7 +3,10 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -34,6 +37,17 @@ constexpr size_t kMaxTrackedJobs = 8;
 
 util::Counter& kind_counter(const std::string& kind) {
   return util::MetricsRegistry::instance().counter("serve.requests." + kind);
+}
+
+/// A non-negative integer param (`fallback` when absent), or nullopt for
+/// anything else: a string, a fraction, a sign, or a value past 2^64.
+std::optional<uint64_t> count_param(const util::Json& params, std::string_view key,
+                                    uint64_t fallback) {
+  const util::Json* v = params.find(key);
+  if (!v) return fallback;
+  double d = v->as_number(-1.0);
+  if (d < 0 || d != std::floor(d) || d >= 0x1p64) return std::nullopt;
+  return static_cast<uint64_t>(d);
 }
 
 }  // namespace
@@ -187,22 +201,11 @@ util::StatusOr<util::Json> Service::handle_query(Session& session,
   if (!reader.ok()) return reader.status();
   const store::Reader& r = **reader;
 
-  // Report mode mirrors `gamma store query --report R` — and must keep
-  // producing the identical document, because test_serve and the check.sh
-  // serve arm diff the two paths byte-for-byte.
+  // Report mode resolves the name through the same table as `gamma store
+  // query --report R`, so the two front doors answer with identical bytes
+  // (test_serve and the check.sh serve arm diff them).
   std::string report = params.get_string("report");
-  if (!report.empty()) {
-    if (report == "summary") return store::summary_json(r);
-    if (report == "prevalence") return analysis::to_json(store::prevalence_report(r));
-    if (report == "policy") return analysis::to_json(store::policy_report(r));
-    if (report == "per-site") return analysis::to_json(store::per_site_report(r));
-    if (report == "flows") return analysis::to_json(store::flows_report(r));
-    if (report == "coverage") return store::coverage_json(r);
-    if (report == "funnel") return store::funnel_json(r);
-    return util::Status::invalid_argument(
-        "unknown report '" + report +
-        "' (summary|prevalence|policy|per-site|flows|coverage|funnel)");
-  }
+  if (!report.empty()) return store::report_json(r, report);
 
   store::QuerySpec spec;
   std::string table = params.get_string("table", "hits");
@@ -244,8 +247,14 @@ util::StatusOr<util::Json> Service::handle_query(Session& session,
 
 util::StatusOr<util::Json> Service::handle_submit_study(const util::Json& params) {
   worldgen::StudyOptions options;
-  options.seed = static_cast<uint64_t>(params.get_number("seed", 7.0));
-  options.jobs = static_cast<size_t>(params.get_number("jobs", 1.0));
+  std::optional<uint64_t> seed = count_param(params, "seed", 7);
+  std::optional<uint64_t> jobs = count_param(params, "jobs", 1);
+  if (!seed || !jobs) {
+    return util::Status::invalid_argument(
+        "submit_study: \"seed\" and \"jobs\" must be non-negative integers");
+  }
+  options.seed = *seed;
+  options.jobs = *jobs;
   if (const util::Json* countries = params.find("countries")) {
     for (const util::Json& c : countries->items()) {
       if (!c.is_string() || !world::is_source_country(c.as_string())) {
@@ -290,8 +299,9 @@ util::StatusOr<util::Json> Service::handle_submit_study(const util::Json& params
   } catch (const std::exception& e) {
     options.progress->finish(false);
     std::string what = e.what();
-    // run_study throws exactly two structured failures: a journal held by a
-    // concurrent study (retryable) and a failed store write (not).
+    // Past the country check above, run_study throws exactly two structured
+    // failures: a journal held by a concurrent study (retryable) and a
+    // failed store write (not).
     if (what.find("locked") != std::string::npos) {
       return util::Status::unavailable(what);
     }

@@ -123,7 +123,6 @@ class Reader {
   /// Study-level provenance (the meta.json block, already parsed).
   const util::Json& meta() const { return meta_; }
 
-  size_t dict_size() const { return dict_count_; }
   std::string_view dict_at(uint32_t id) const;
   /// Binary search in the sorted pool; nullopt if the string never occurs
   /// anywhere in the store (useful to fail predicates fast).

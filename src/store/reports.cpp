@@ -1,250 +1,96 @@
 #include "store/reports.h"
 
-#include <algorithm>
-#include <set>
+#include <ranges>
+#include <string>
 
-#include "analysis/report_json.h"
-#include "util/stats.h"
+#include "analysis/reports.h"
 #include "world/country.h"
 
 namespace gam::store {
 
 namespace {
 
-// Shorthand for one country's site rows and one site's hit rows.
-struct SiteRange {
-  uint64_t begin, end;
-};
+/// The store's study view (see analysis/reports.h): site and hit handles
+/// are row numbers, and every accessor reads a mapped column in place.
+class StoreView {
+ public:
+  explicit StoreView(const Reader& reader) : r_(reader) {}
 
-SiteRange sites_of(const Reader& r, size_t country) {
-  return {r.countries().site_offsets[country], r.countries().site_offsets[country + 1]};
-}
-
-SiteRange hits_of(const Reader& r, size_t site) {
-  return {r.sites().hit_offsets[site], r.sites().hit_offsets[site + 1]};
-}
-
-bool site_has_tracker(const Reader& r, size_t site) {
-  auto h = hits_of(r, site);
-  return h.end > h.begin;
-}
-
-/// Mirrors prevalence.cpp's pct_with_tracker: loaded sites of one kind, and
-/// how many of them embed >=1 non-local tracker.
-std::pair<double, size_t> pct_with_tracker(const Reader& r, size_t country, uint8_t kind) {
-  size_t loaded = 0, with = 0;
-  auto range = sites_of(r, country);
-  for (uint64_t s = range.begin; s < range.end; ++s) {
-    if (r.sites().kind.at(s) != kind) continue;
-    if (r.sites().loaded.at(s) == 0) continue;
-    ++loaded;
-    if (site_has_tracker(r, s)) ++with;
+  size_t countries() const { return r_.num_countries(); }
+  std::string_view code(size_t c) const { return r_.countries().code.at(c); }
+  auto sites(size_t c) const {
+    const auto& offsets = r_.countries().site_offsets;
+    return std::views::iota(offsets[c], offsets[c + 1]);
   }
-  double pct = loaded == 0 ? 0.0 : 100.0 * static_cast<double>(with) / loaded;
-  return {pct, loaded};
-}
+  web::SiteKind kind(uint64_t s) const {
+    return r_.sites().kind.at(s) == 1 ? web::SiteKind::Government : web::SiteKind::Regional;
+  }
+  bool loaded(uint64_t s) const { return r_.sites().loaded.at(s) != 0; }
+  auto hits(uint64_t s) const {
+    const auto& offsets = r_.sites().hit_offsets;
+    return std::views::iota(offsets[s], offsets[s + 1]);
+  }
+  std::string_view dest_country(uint64_t h) const { return r_.hits().dest_country.at(h); }
+  analysis::CountryFunnel funnel(size_t c) const {
+    const CountriesView& C = r_.countries();
+    return {C.unique_domains.at(c),   C.unique_ips.at(c),       C.traceroutes.at(c),
+            C.funnel_nonlocal.at(c),  C.funnel_after_sol.at(c), C.funnel_after_rdns.at(c),
+            C.funnel_dest_traces.at(c)};
+  }
+
+ private:
+  const Reader& r_;
+};
 
 }  // namespace
 
 analysis::PrevalenceReport prevalence_report(const Reader& reader) {
-  analysis::PrevalenceReport report;
-  std::vector<double> reg, gov;
-  for (size_t c = 0; c < reader.num_countries(); ++c) {
-    analysis::PrevalenceRow row;
-    row.country = std::string(reader.countries().code.at(c));
-    auto [pr, nr] = pct_with_tracker(reader, c, 0);
-    auto [pg, ng] = pct_with_tracker(reader, c, 1);
-    row.pct_reg = pr;
-    row.n_reg = nr;
-    row.pct_gov = pg;
-    row.n_gov = ng;
-    reg.push_back(pr);
-    gov.push_back(pg);
-    report.rows.push_back(std::move(row));
-  }
-  report.mean_reg = util::mean(reg);
-  report.stddev_reg = util::stddev(reg);
-  report.mean_gov = util::mean(gov);
-  report.stddev_gov = util::stddev(gov);
-  report.pearson_reg_gov = util::pearson(reg, gov);
-  return report;
+  return analysis::prevalence_of(StoreView(reader));
 }
 
 analysis::PolicyReport policy_report(const Reader& reader) {
-  analysis::PolicyReport report;
-  std::vector<double> strictness, rate;
-  for (size_t c = 0; c < reader.num_countries(); ++c) {
-    const std::string code(reader.countries().code.at(c));
-    const world::CountryInfo& info = world::CountryDb::instance().at(code);
-    analysis::PolicyRow row;
-    row.country = code;
-    row.policy = info.policy;
-    row.enacted = info.policy_enacted;
-    size_t loaded = 0, with = 0;
-    auto range = sites_of(reader, c);
-    for (uint64_t s = range.begin; s < range.end; ++s) {
-      if (reader.sites().loaded.at(s) == 0) continue;
-      ++loaded;
-      if (site_has_tracker(reader, s)) ++with;
-    }
-    row.nonlocal_pct = loaded == 0 ? 0.0 : 100.0 * static_cast<double>(with) / loaded;
-    strictness.push_back(world::policy_strictness(info.policy));
-    rate.push_back(row.nonlocal_pct);
-    report.rows.push_back(std::move(row));
-  }
-  report.spearman_strictness_vs_rate = util::spearman(strictness, rate);
-  std::stable_sort(report.rows.begin(), report.rows.end(),
-                   [](const analysis::PolicyRow& a, const analysis::PolicyRow& b) {
-                     int sa = world::policy_strictness(a.policy);
-                     int sb = world::policy_strictness(b.policy);
-                     if (sa != sb) return sa > sb;
-                     return a.country < b.country;
-                   });
-  return report;
+  return analysis::policy_of(StoreView(reader));
 }
-
-namespace {
-
-/// Mirrors per_site.cpp's tracker_counts: per loaded, tracked site of one
-/// country (optionally one kind), the number of distinct tracker domains.
-std::vector<double> tracker_counts(const Reader& r, size_t country,
-                                   std::optional<uint8_t> kind) {
-  std::vector<double> out;
-  auto range = sites_of(r, country);
-  for (uint64_t s = range.begin; s < range.end; ++s) {
-    if (kind && r.sites().kind.at(s) != *kind) continue;
-    auto h = hits_of(r, s);
-    if (r.sites().loaded.at(s) == 0 || h.end == h.begin) continue;
-    out.push_back(static_cast<double>(h.end - h.begin));
-  }
-  return out;
-}
-
-}  // namespace
 
 analysis::PerSiteReport per_site_report(const Reader& reader) {
-  analysis::PerSiteReport report;
-  for (size_t c = 0; c < reader.num_countries(); ++c) {
-    analysis::PerSiteRow row;
-    row.country = std::string(reader.countries().code.at(c));
-    row.reg = util::box_stats(tracker_counts(reader, c, uint8_t{0}));
-    row.gov = util::box_stats(tracker_counts(reader, c, uint8_t{1}));
-    std::vector<double> all = tracker_counts(reader, c, std::nullopt);
-    row.combined = util::box_stats(all);
-    row.skew_combined = util::skewness(all);
-    report.rows.push_back(std::move(row));
-  }
-  return report;
+  return analysis::per_site_of(StoreView(reader));
 }
 
 analysis::FlowsReport flows_report(const Reader& reader) {
-  // Mirrors flows.cpp: per-site destination sets first, then aggregation.
-  struct SiteDest {
-    std::string source;
-    uint8_t kind;
-    std::set<std::string> dests;
-  };
-  std::vector<SiteDest> sites;
-  for (size_t c = 0; c < reader.num_countries(); ++c) {
-    const std::string source(reader.countries().code.at(c));
-    auto range = sites_of(reader, c);
-    for (uint64_t s = range.begin; s < range.end; ++s) {
-      auto h = hits_of(reader, s);
-      if (reader.sites().loaded.at(s) == 0 || h.end == h.begin) continue;
-      SiteDest sd;
-      sd.source = source;
-      sd.kind = reader.sites().kind.at(s);
-      for (uint64_t i = h.begin; i < h.end; ++i) {
-        sd.dests.insert(std::string(reader.hits().dest_country.at(i)));
-      }
-      sites.push_back(std::move(sd));
-    }
-  }
-
-  analysis::FlowsReport report;
-  report.sites_with_nonlocal = sites.size();
-  std::map<std::string, std::set<std::string>> fanin, fanin_reg, fanin_gov;
-  std::map<std::string, size_t> dest_site_count;
-  for (const auto& sd : sites) {
-    ++report.source_site_counts[sd.source];
-    for (const auto& dest : sd.dests) {
-      ++report.website_flows[sd.source][dest];
-      ++dest_site_count[dest];
-      fanin[dest].insert(sd.source);
-      (sd.kind == 0 ? fanin_reg : fanin_gov)[dest].insert(sd.source);
-    }
-  }
-  for (const auto& [dest, n] : dest_site_count) {
-    report.dest_pct[dest] =
-        report.sites_with_nonlocal == 0
-            ? 0.0
-            : 100.0 * static_cast<double>(n) / report.sites_with_nonlocal;
-  }
-  for (const auto& [dest, sources] : fanin) report.dest_fanin[dest] = sources.size();
-  for (const auto& [dest, sources] : fanin_reg) {
-    report.dest_fanin_reg[dest] = sources.size();
-  }
-  for (const auto& [dest, sources] : fanin_gov) {
-    report.dest_fanin_gov[dest] = sources.size();
-  }
-  return report;
+  return analysis::flows_of(StoreView(reader));
 }
 
 util::Json coverage_json(const Reader& reader) {
-  util::Json doc = util::Json::object();
-  util::Json rows = util::Json::array();
-  for (size_t c = 0; c < reader.num_countries(); ++c) {
-    auto range = sites_of(reader, c);
-    size_t n = range.end - range.begin, loaded = 0;
-    for (uint64_t s = range.begin; s < range.end; ++s) {
-      if (reader.sites().loaded.at(s) != 0) ++loaded;
-    }
-    util::Json row = util::Json::object();
-    row["country"] = std::string(reader.countries().code.at(c));
-    row["sites"] = n;
-    row["loaded"] = loaded;
-    row["pct"] = n == 0 ? 0.0 : 100.0 * static_cast<double>(loaded) / n;
-    rows.push_back(std::move(row));
-  }
-  doc["rows"] = std::move(rows);
-  return doc;
+  return analysis::coverage_of(StoreView(reader));
 }
 
-util::Json funnel_json(const Reader& reader) {
-  const auto& C = reader.countries();
-  util::Json doc = util::Json::object();
-  util::Json rows = util::Json::array();
-  size_t nonlocal = 0, after_sol = 0, after_rdns = 0, dest_traces = 0;
-  for (size_t c = 0; c < reader.num_countries(); ++c) {
-    util::Json row = util::Json::object();
-    row["country"] = std::string(C.code.at(c));
-    row["unique_domains"] = static_cast<size_t>(C.unique_domains.at(c));
-    row["unique_ips"] = static_cast<size_t>(C.unique_ips.at(c));
-    row["traceroutes"] = static_cast<size_t>(C.traceroutes.at(c));
-    row["nonlocal_candidates"] = static_cast<size_t>(C.funnel_nonlocal.at(c));
-    row["after_sol"] = static_cast<size_t>(C.funnel_after_sol.at(c));
-    row["after_rdns"] = static_cast<size_t>(C.funnel_after_rdns.at(c));
-    row["dest_traceroutes"] = static_cast<size_t>(C.funnel_dest_traces.at(c));
-    nonlocal += C.funnel_nonlocal.at(c);
-    after_sol += C.funnel_after_sol.at(c);
-    after_rdns += C.funnel_after_rdns.at(c);
-    dest_traces += C.funnel_dest_traces.at(c);
-    rows.push_back(std::move(row));
-  }
-  doc["rows"] = std::move(rows);
-  util::Json totals = util::Json::object();
-  totals["nonlocal_candidates"] = nonlocal;
-  totals["after_sol"] = after_sol;
-  totals["after_rdns"] = after_rdns;
-  totals["dest_traceroutes"] = dest_traces;
-  doc["totals"] = std::move(totals);
-  return doc;
-}
+util::Json funnel_json(const Reader& reader) { return analysis::funnel_of(StoreView(reader)); }
 
 util::Json summary_json(const Reader& reader) {
-  analysis::PrevalenceReport prev = prevalence_report(reader);
-  analysis::FlowsReport flows = flows_report(reader);
-  return analysis::study_summary_json(reader.num_countries(), prev, flows);
+  return analysis::study_summary_json(reader.num_countries(), prevalence_report(reader),
+                                      flows_report(reader));
+}
+
+util::StatusOr<util::Json> report_json(const Reader& reader, std::string_view name) {
+  if (name == "summary") return summary_json(reader);
+  if (name == "prevalence") return analysis::to_json(prevalence_report(reader));
+  if (name == "policy") {
+    for (size_t c = 0; c < reader.num_countries(); ++c) {
+      std::string_view code = reader.countries().code.at(c);
+      if (!world::CountryDb::instance().find(code)) {
+        return util::Status::failed_precondition("policy: no policy record for country code '" +
+                                                 std::string(code) + "'");
+      }
+    }
+    return analysis::to_json(policy_report(reader));
+  }
+  if (name == "per-site") return analysis::to_json(per_site_report(reader));
+  if (name == "flows") return analysis::to_json(flows_report(reader));
+  if (name == "coverage") return coverage_json(reader);
+  if (name == "funnel") return funnel_json(reader);
+  return util::Status::invalid_argument(
+      "unknown report '" + std::string(name) +
+      "' (summary|prevalence|policy|per-site|flows|coverage|funnel)");
 }
 
 }  // namespace gam::store

@@ -1,14 +1,16 @@
 // Paper-figure reports computed straight from a mapped GMST store.
 //
-// Each function mirrors its analysis/ counterpart (compute_prevalence,
-// compute_policy, compute_per_site, compute_flows) loop-for-loop and
-// expression-for-expression over the store's columns: same iteration order,
-// same arithmetic, same util:: statistics kernels. Because the stored data
-// is exact (integers and dictionary strings), the resulting report structs
-// are bit-identical to the in-memory path, and their shared
-// analysis::report_json renderings are byte-identical — the store's
-// round-trip fidelity contract (ISSUE 4, tested in test_store).
+// The report loops live once, in analysis/reports.h; this module supplies
+// only the store's view of them, which reads the mapped columns in place,
+// and the entry points below. The in-memory entry points
+// (analysis::compute_prevalence & friends) run the same loops over the
+// CountryAnalysis tree, and both render through analysis::report_json, so a
+// report from a store is byte-identical to one from the analyses the store
+// was written from whenever the Writer/Reader round trip preserves the
+// columns (tested in test_store).
 #pragma once
+
+#include <string_view>
 
 #include "analysis/flows.h"
 #include "analysis/per_site.h"
@@ -16,10 +18,13 @@
 #include "analysis/prevalence.h"
 #include "store/reader.h"
 #include "util/json.h"
+#include "util/status.h"
 
 namespace gam::store {
 
 analysis::PrevalenceReport prevalence_report(const Reader& reader);  // Figure 3
+/// Reads each country's policy class from world::CountryDb; every code in
+/// the store must be known to this process (report_json checks first).
 analysis::PolicyReport policy_report(const Reader& reader);          // Table 1
 analysis::PerSiteReport per_site_report(const Reader& reader);       // Figure 4
 analysis::FlowsReport flows_report(const Reader& reader);            // Figure 5 / §6.3
@@ -30,5 +35,12 @@ util::Json coverage_json(const Reader& reader);
 util::Json funnel_json(const Reader& reader);
 /// The study-summary.json body; matches the `gamma study --out` file bytes.
 util::Json summary_json(const Reader& reader);
+
+/// The one report-name table behind `gamma store query --report R` and the
+/// daemon's query handler: summary|prevalence|policy|per-site|flows|
+/// coverage|funnel. An unknown name is invalid_argument; a policy report
+/// over a country code this process has no policy record for (a synthetic
+/// code from another process's scale world, say) is failed_precondition.
+util::StatusOr<util::Json> report_json(const Reader& reader, std::string_view name);
 
 }  // namespace gam::store

@@ -73,8 +73,6 @@ void prepare_scale(Builder& b) {
 
   if (cfg.scale_countries == 0) {
     b.scale.enabled = false;
-    b.scale.reg_sites = cfg.reg_sites;
-    b.scale.gov_sites = cfg.gov_sites;
     b.cals = calibration();
     b.vantage = world::source_countries();
   } else {

@@ -1,5 +1,6 @@
 #include "worldgen/study.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <optional>
 #include <stdexcept>
@@ -172,12 +173,16 @@ StudyResult run_study(World& world, const StudyOptions& options) {
   StudyResult result;
   result.targets_before_optout = world.targets_before_optout;
 
-  std::vector<std::string> countries = options.countries;
-  if (countries.empty()) {
-    // The world's vantage set: the paper's 23 in the legacy world, the
-    // synthetic "V.." countries in scale mode.
-    countries = world.vantage_countries.empty() ? world::source_countries()
-                                                : world.vantage_countries;
+  // The world's vantage set: the paper's 23 in the legacy world, the
+  // synthetic "V.." countries in scale mode. A country outside it has no
+  // volunteer, so it is refused here, before any session starts.
+  const std::vector<std::string>& vantage =
+      world.vantage_countries.empty() ? world::source_countries() : world.vantage_countries;
+  std::vector<std::string> countries = options.countries.empty() ? vantage : options.countries;
+  for (const std::string& code : countries) {
+    if (std::find(vantage.begin(), vantage.end(), code) == vantage.end()) {
+      throw std::invalid_argument("country '" + code + "' is not a vantage country of this world");
+    }
   }
 
   // Arm the progress observer on the *resolved* list, so study_status shows
@@ -258,7 +263,7 @@ StudyResult run_study(World& world, const StudyOptions& options) {
   // webdriver scrub, Atlas repair (§4.1.1), geolocation + identification +
   // per-country analysis. Every random draw comes from a (seed, country)
   // substream, so any interleaving reproduces the serial run exactly.
-  core::ParallelStudyRunner runner(options.jobs);
+  core::ParallelStudyRunner runner(options.jobs, countries.size());
 
   // One country's full measurement chain.
   auto measure = [&](const std::string& code, int attempt, CountryOutcome& out) {
@@ -312,18 +317,12 @@ StudyResult run_study(World& world, const StudyOptions& options) {
     out.country = code;
     out.degraded = true;
     out.degraded_reason = error;
+    const core::VolunteerProfile& profile = world.volunteer(code);
     out.dataset.country = code;
-    out.dataset.volunteer_id = "vol-" + code;
-    try {
-      const core::VolunteerProfile& profile = world.volunteer(code);
-      out.dataset.volunteer_id = profile.id;
-      out.dataset.disclosed_city = profile.city;
-      out.dataset.volunteer_ip = net::ip_to_string(profile.ip);
-      out.dataset.os = probe::os_kind_name(profile.os);
-    } catch (...) {
-      // Unknown country: keep the minimal dataset; analysis below may still
-      // fail, and then the outcome stays an empty shell for this country.
-    }
+    out.dataset.volunteer_id = profile.id;
+    out.dataset.disclosed_city = profile.city;
+    out.dataset.volunteer_ip = net::ip_to_string(profile.ip);
+    out.dataset.os = probe::os_kind_name(profile.os);
     try {
       analyze_outcome(code, out);
     } catch (...) {
@@ -488,9 +487,8 @@ StudyResult run_study(World& world, const StudyOptions& options) {
     return result;
   }
 
-  if (options.anonymize) {
-    for (auto& dataset : result.datasets) core::anonymize(dataset);
-  }
+  // §3.5: volunteer IPs are anonymized once analysis no longer needs them.
+  for (auto& dataset : result.datasets) core::anonymize(dataset);
 
   if (!options.store_out.empty()) {
     store::StudyMeta meta;

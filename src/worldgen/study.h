@@ -96,10 +96,9 @@ struct StudyResult {
 
 struct StudyOptions {
   uint64_t seed = 7;
-  /// Countries to measure; empty = all 23 source countries.
+  /// Countries to measure; empty = the world's whole vantage set. A country
+  /// outside that set makes run_study throw std::invalid_argument.
   std::vector<std::string> countries;
-  /// Anonymize volunteer IPs after analysis (§3.5). On by default.
-  bool anonymize = true;
   /// Worker threads for the per-country fan-out: each country's whole
   /// crawl -> scrub -> Atlas repair -> analysis chain runs as one task on a
   /// core::ParallelStudyRunner. 1 = serial (default), 0 = one per hardware

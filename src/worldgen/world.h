@@ -29,8 +29,6 @@ namespace gam::worldgen {
 
 struct WorldConfig {
   uint64_t seed = 42;
-  size_t reg_sites = 50;  // T_reg size per country (§3.2)
-  size_t gov_sites = 50;  // T_gov size per country (subject to availability)
 
   // GammaShard scale mode (`--countries` / `--sites`). scale_countries > 0
   // replaces the paper's 23 vantage countries with that many synthetic ones

@@ -2,8 +2,6 @@
 // computation verified against numbers small enough to check by hand.
 #include <gtest/gtest.h>
 
-#include "web/psl.h"
-
 #include "analysis/continent_flows.h"
 #include "analysis/flows.h"
 #include "analysis/freq.h"
@@ -13,61 +11,10 @@
 #include "analysis/per_site.h"
 #include "analysis/policy.h"
 #include "analysis/prevalence.h"
+#include "analysis_fixture.h"
 
 namespace gam::analysis {
 namespace {
-
-TrackerHit hit(std::string domain, std::string dest, std::string org = "Google",
-               bool first_party = false) {
-  TrackerHit h;
-  h.domain = domain;
-  h.reg_domain = web::registrable_domain(domain);
-  h.dest_country = std::move(dest);
-  h.org = std::move(org);
-  h.first_party = first_party;
-  h.method = trackers::IdMethod::EasyList;
-  return h;
-}
-
-SiteAnalysis site(std::string domain, std::string country, web::SiteKind kind,
-                  std::vector<TrackerHit> trackers, bool loaded = true) {
-  SiteAnalysis s;
-  s.site_domain = std::move(domain);
-  s.country = std::move(country);
-  s.kind = kind;
-  s.loaded = loaded;
-  s.trackers = std::move(trackers);
-  s.nonlocal_domains = s.trackers.size();
-  s.total_domains = s.trackers.size() + 3;
-  return s;
-}
-
-// Two-country fixture: New Zealand (high prevalence, flows to AU) and
-// Canada (clean).
-std::vector<CountryAnalysis> fixture() {
-  CountryAnalysis nz;
-  nz.country = "NZ";
-  nz.sites = {
-      site("news.co.nz", "NZ", web::SiteKind::Regional,
-           {hit("stats.g.doubleclick.net", "AU"), hit("connect.facebook.net", "AU", "Facebook"),
-            hit("cdn.taboola.com", "US", "Taboola")}),
-      site("shop.co.nz", "NZ", web::SiteKind::Regional, {hit("ads.twitter.com", "AU", "Twitter")}),
-      site("blog.co.nz", "NZ", web::SiteKind::Regional, {}),       // no non-local trackers
-      site("dead.co.nz", "NZ", web::SiteKind::Regional, {}, false),  // failed load
-      site("moi.govt.nz", "NZ", web::SiteKind::Government,
-           {hit("www.google-analytics.com", "AU")}),
-      site("tax.govt.nz", "NZ", web::SiteKind::Government, {}),
-      site("google.co.nz", "NZ", web::SiteKind::Regional,
-           {hit("www.googleapis.com", "AU", "Google", /*first_party=*/true)}),
-  };
-  CountryAnalysis ca;
-  ca.country = "CA";
-  ca.sites = {
-      site("news.gc.ca", "CA", web::SiteKind::Government, {}),
-      site("shop-ca.com", "CA", web::SiteKind::Regional, {}),
-  };
-  return {nz, ca};
-}
 
 TEST(Prevalence, PerKindPercentages) {
   PrevalenceReport r = compute_prevalence(fixture());

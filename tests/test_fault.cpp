@@ -210,8 +210,8 @@ TEST(Retry, DeadlineBudgetStopsTheSchedule) {
 }
 
 TEST(Breaker, RetriesThenFallsBackPerCountry) {
-  core::ParallelStudyRunner runner(2);
   std::vector<std::string> countries = {"AA", "BB", "CC"};
+  core::ParallelStudyRunner runner(2, countries.size());
   std::vector<std::string> out(countries.size());
   runner.for_each_with_breaker(
       countries,

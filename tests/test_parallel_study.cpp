@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "analysis/study.h"
@@ -117,9 +118,9 @@ TEST(ParallelStudy, DifferentSeedsDiffer) {
 }
 
 TEST(ParallelStudy, RunnerMapPreservesInputOrder) {
-  core::ParallelStudyRunner runner(4);
-  EXPECT_EQ(runner.jobs(), 4u);
   std::vector<std::string> countries = {"EG", "PK", "JP", "BR", "DE", "US", "GB", "IN"};
+  core::ParallelStudyRunner runner(4, countries.size());
+  EXPECT_EQ(runner.jobs(), 4u);
   std::vector<std::string> out(countries.size());
   runner.for_each_with_breaker(
       countries,
@@ -134,6 +135,17 @@ TEST(ParallelStudy, RunnerMapPreservesInputOrder) {
 TEST(ParallelStudy, ResolveJobs) {
   EXPECT_EQ(core::ParallelStudyRunner::resolve_jobs(3), 3u);
   EXPECT_GE(core::ParallelStudyRunner::resolve_jobs(0), 1u);
+}
+
+TEST(ParallelStudy, RunnerNeverStartsMoreWorkersThanCountries) {
+  EXPECT_EQ(core::ParallelStudyRunner(16, 2).jobs(), 2u);
+  EXPECT_EQ(core::ParallelStudyRunner(0, 1).jobs(), 1u);
+  EXPECT_EQ(core::ParallelStudyRunner(3, 0).jobs(), 1u);
+}
+
+TEST(ParallelStudy, UnknownCountryIsRejectedBeforeAnySession) {
+  EXPECT_THROW(run_with_jobs(7, 2, {"ZZ"}), std::invalid_argument);
+  EXPECT_THROW(run_with_jobs(7, 2, {"US", "ZZ"}), std::invalid_argument);
 }
 
 }  // namespace

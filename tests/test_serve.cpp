@@ -49,6 +49,7 @@
 #include "serve/service.h"
 #include "store/query.h"
 #include "store/reports.h"
+#include "store/writer.h"
 #include "util/json.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -290,6 +291,26 @@ TEST(Service, StructuredErrorsForBadRequests) {
   EXPECT_EQ(shutdown.status().code(), util::StatusCode::kFailedPrecondition);
 }
 
+TEST(Service, SubmitStudyRejectsSeedAndJobsThatAreNotCounts) {
+  serve::Service service({});
+  ASSERT_TRUE(service.init().ok());
+  serve::Session session;
+  auto submit = [&](const char* key, double value) {
+    util::Json params = util::Json::object();
+    util::Json countries = util::Json::array();
+    countries.push_back("US");
+    params["countries"] = std::move(countries);
+    params[key] = value;
+    return service.handle(session, "submit_study", params);
+  };
+  auto fractional_jobs = submit("jobs", 2.5);
+  ASSERT_FALSE(fractional_jobs.ok());
+  EXPECT_EQ(fractional_jobs.status().code(), util::StatusCode::kInvalidArgument);
+  auto negative_seed = submit("seed", -1);
+  ASSERT_FALSE(negative_seed.ok());
+  EXPECT_EQ(negative_seed.status().code(), util::StatusCode::kInvalidArgument);
+}
+
 TEST(Service, MissingStoreIsNotFoundAndNotCached) {
   serve::Service service({});
   ASSERT_TRUE(service.init().ok());
@@ -363,6 +384,31 @@ TEST(Serve, QueryMatchesDirectStoreBytes) {
     // report must be indistinguishable from `gamma store query`'s.
     EXPECT_EQ(served.dump(2), direct.dump(2)) << report;
   }
+}
+
+TEST(Serve, PolicyOverUnknownCountryCodesIsAnErrorAndTheDaemonServesOn) {
+  // A store written for a code no CountryDb knows: the policy report names
+  // the code in a structured error, and the same daemon keeps answering.
+  analysis::CountryAnalysis zz;
+  zz.country = "ZZ";
+  const std::string path = temp_path("serve_zz.gmst");
+  ASSERT_TRUE(store::Writer().write(path, {zz}).ok());
+  ServerOptions options;
+  options.service.store_path = path;
+  auto server = start_server(std::move(options));
+  auto client = connect(*server);
+
+  util::Json params = util::Json::object();
+  params["report"] = "policy";
+  auto reply = client->call("query", params);
+  EXPECT_EQ(must_error_code(reply), "failed_precondition");
+  ASSERT_TRUE(reply.ok());
+  EXPECT_NE(reply->dump().find("ZZ"), std::string::npos);
+
+  params["report"] = "coverage";
+  util::Json coverage = must_result(client->call("query", std::move(params)));
+  EXPECT_EQ(coverage.dump(), "{\"rows\":[{\"country\":\"ZZ\",\"loaded\":0,\"pct\":0,\"sites\":0}]}");
+  must_result(client->call("ping", util::Json::object()));
 }
 
 TEST(Serve, QuerySpecMatchesDirectStoreBytes) {

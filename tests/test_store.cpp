@@ -15,6 +15,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/flows.h"
@@ -22,6 +23,7 @@
 #include "analysis/policy.h"
 #include "analysis/prevalence.h"
 #include "analysis/report_json.h"
+#include "analysis_fixture.h"
 #include "store/format.h"
 #include "store/query.h"
 #include "store/reader.h"
@@ -149,30 +151,103 @@ TEST(StoreReader, MetaAndCountsSurviveRoundTrip) {
   }
 }
 
+/// Every report and the summary, rendered from the mapped store and from the
+/// in-memory analyses it was written from, must be the same bytes.
+void expect_views_agree(const store::Reader& reader,
+                        const std::vector<analysis::CountryAnalysis>& analyses) {
+  EXPECT_EQ(analysis::to_json(store::prevalence_report(reader)).dump(2),
+            analysis::to_json(analysis::compute_prevalence(analyses)).dump(2));
+  EXPECT_EQ(analysis::to_json(store::policy_report(reader)).dump(2),
+            analysis::to_json(analysis::compute_policy(analyses)).dump(2));
+  EXPECT_EQ(analysis::to_json(store::per_site_report(reader)).dump(2),
+            analysis::to_json(analysis::compute_per_site(analyses)).dump(2));
+  EXPECT_EQ(analysis::to_json(store::flows_report(reader)).dump(2),
+            analysis::to_json(analysis::compute_flows(analyses)).dump(2));
+  EXPECT_EQ(store::coverage_json(reader).dump(2), analysis::coverage_json(analyses).dump(2));
+  EXPECT_EQ(store::funnel_json(reader).dump(2), analysis::funnel_json(analyses).dump(2));
+  EXPECT_EQ(store::summary_json(reader).dump(2),
+            analysis::study_summary_json(analyses.size(),
+                                         analysis::compute_prevalence(analyses),
+                                         analysis::compute_flows(analyses))
+                .dump(2));
+}
+
 TEST(StoreReports, AreByteIdenticalToInMemoryAnalysis) {
   // The golden round-trip: study -> store -> report == analyses -> report,
   // compared as rendered JSON bytes through the shared emitters.
   store::Error error;
   auto reader = store::Reader::open(shared_store(), &error);
   ASSERT_NE(reader, nullptr) << error.to_string();
-  const auto& analyses = shared_study().analyses;
+  expect_views_agree(*reader, shared_study().analyses);
+}
 
-  EXPECT_EQ(analysis::to_json(store::prevalence_report(*reader)).dump(2),
-            analysis::to_json(analysis::compute_prevalence(analyses)).dump(2));
-  EXPECT_EQ(analysis::to_json(store::policy_report(*reader)).dump(2),
-            analysis::to_json(analysis::compute_policy(analyses)).dump(2));
-  EXPECT_EQ(analysis::to_json(store::per_site_report(*reader)).dump(2),
-            analysis::to_json(analysis::compute_per_site(analyses)).dump(2));
-  EXPECT_EQ(analysis::to_json(store::flows_report(*reader)).dump(2),
-            analysis::to_json(analysis::compute_flows(analyses)).dump(2));
-  EXPECT_EQ(store::coverage_json(*reader).dump(2),
-            analysis::coverage_json(analyses).dump(2));
-  EXPECT_EQ(store::funnel_json(*reader).dump(2), analysis::funnel_json(analyses).dump(2));
-  EXPECT_EQ(store::summary_json(*reader).dump(2),
-            analysis::study_summary_json(analyses.size(),
-                                         analysis::compute_prevalence(analyses),
-                                         analysis::compute_flows(analyses))
-                .dump(2));
+TEST(StoreReports, ReportNamesResolveToTheirReports) {
+  // The report-name table both front doors share: each name must answer
+  // with its own report, built here straight from the report functions.
+  store::Error error;
+  auto reader = store::Reader::open(shared_store(), &error);
+  ASSERT_NE(reader, nullptr) << error.to_string();
+  const std::vector<std::pair<std::string, util::Json>> expected = {
+      {"summary", store::summary_json(*reader)},
+      {"prevalence", analysis::to_json(store::prevalence_report(*reader))},
+      {"policy", analysis::to_json(store::policy_report(*reader))},
+      {"per-site", analysis::to_json(store::per_site_report(*reader))},
+      {"flows", analysis::to_json(store::flows_report(*reader))},
+      {"coverage", store::coverage_json(*reader)},
+      {"funnel", store::funnel_json(*reader)},
+  };
+  for (const auto& [name, json] : expected) {
+    util::StatusOr<util::Json> resolved = store::report_json(*reader, name);
+    ASSERT_TRUE(resolved.ok()) << name << ": " << resolved.status().message();
+    EXPECT_EQ(resolved->dump(2), json.dump(2)) << name;
+  }
+}
+
+TEST(StoreReports, EdgeFixtureRoundTripsByteIdentically) {
+  // test_analysis's hand-checked NZ/CA fixture (an unloaded site, tracker-
+  // free sites, a country with no trackers at all) plus a degraded country
+  // with zero sites, which no real one- or two-country study produces.
+  std::vector<analysis::CountryAnalysis> analyses = analysis::fixture();
+  analysis::CountryAnalysis degraded;
+  degraded.country = "JP";
+  analyses.push_back(degraded);
+  store::StudyMeta meta;
+  meta.degraded_countries = {"JP"};
+  const std::string path = store_path("edge.gmst");
+  store::WriteResult written = store::Writer(meta).write(path, analyses);
+  ASSERT_TRUE(written.ok()) << written.error.to_string();
+  store::Error error;
+  auto reader = store::Reader::open(path, &error);
+  ASSERT_NE(reader, nullptr) << error.to_string();
+  ASSERT_EQ(reader->num_countries(), 3u);
+  expect_views_agree(*reader, analyses);
+}
+
+TEST(StoreReports, PolicyOverAnUnknownCountryCodeIsFailedPrecondition) {
+  // A store written for a code this process's CountryDb does not know (a
+  // synthetic code from another process's scale world, say) must get a
+  // structured error naming the code from the report-name table, not abort.
+  analysis::CountryAnalysis zz;
+  zz.country = "ZZ";
+  zz.sites = {analysis::site("news.zz", "ZZ", web::SiteKind::Regional, {})};
+  const std::string path = store_path("zz.gmst");
+  ASSERT_TRUE(store::Writer().write(path, {zz}).ok());
+  store::Error error;
+  auto reader = store::Reader::open(path, &error);
+  ASSERT_NE(reader, nullptr) << error.to_string();
+
+  util::StatusOr<util::Json> policy = store::report_json(*reader, "policy");
+  ASSERT_FALSE(policy.ok());
+  EXPECT_EQ(policy.status().code(), util::StatusCode::kFailedPrecondition);
+  EXPECT_NE(policy.status().message().find("'ZZ'"), std::string::npos);
+  for (const char* name : {"summary", "prevalence", "per-site", "flows", "coverage", "funnel"}) {
+    EXPECT_TRUE(store::report_json(*reader, name).ok()) << name;
+  }
+  util::StatusOr<util::Json> unknown = store::report_json(*reader, "nope");
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(unknown.status().message(),
+            "unknown report 'nope' (summary|prevalence|policy|per-site|flows|coverage|funnel)");
 }
 
 TEST(StoreCorruption, StructuredErrorsNeverCrashes) {
@@ -365,16 +440,7 @@ TEST(StoreFuzz, RandomizedStudiesRoundTripByteIdentically) {
     auto reader = store::Reader::open(a, &error);
     ASSERT_NE(reader, nullptr) << error.to_string();
     EXPECT_EQ(reader->num_countries(), study.analyses.size());
-    EXPECT_EQ(analysis::to_json(store::prevalence_report(*reader)).dump(2),
-              analysis::to_json(analysis::compute_prevalence(study.analyses)).dump(2));
-    EXPECT_EQ(analysis::to_json(store::policy_report(*reader)).dump(2),
-              analysis::to_json(analysis::compute_policy(study.analyses)).dump(2));
-    EXPECT_EQ(analysis::to_json(store::per_site_report(*reader)).dump(2),
-              analysis::to_json(analysis::compute_per_site(study.analyses)).dump(2));
-    EXPECT_EQ(analysis::to_json(store::flows_report(*reader)).dump(2),
-              analysis::to_json(analysis::compute_flows(study.analyses)).dump(2));
-    EXPECT_EQ(store::coverage_json(*reader).dump(2),
-              analysis::coverage_json(study.analyses).dump(2));
+    expect_views_agree(*reader, study.analyses);
   }
 }
 

@@ -26,6 +26,9 @@
 #           land in the JSONL sink with the full 16-field schema, a
 #           submitted study's study_status RPC must reach "done", and
 #           `gamma top --once --json` must emit a parseable sample
+#   hostile an unknown --country, a non-numeric --jobs, and a policy report
+#           over a store of codes this process does not know must each fail
+#           with a structured error (exit nonzero, below 128), never a signal
 #
 # Sanitizers:
 #   tsan  -> shared-state suites (thread pool, parallel study runner,
@@ -295,9 +298,23 @@ arm_chaos() {
   [[ $rc -eq 0 ]] || { echo "   ERROR: the mid-load SIGKILL leaked through to a client" >&2; return 1; }
   echo "   150 queries survived a mid-load SIGKILL + restart (byte diff 0)"
 
+  # SIGTERM only once the restarted daemon has answered: a signal sent
+  # between bash's fork and the daemon's exec can be lost. Then a bounded wait.
+  "$GAMMA" client ping --port "$port" "${retry[@]}" >/dev/null
   kill -TERM "$DAEMON"
+  tries=0
+  while kill -0 "$DAEMON" 2>/dev/null; do
+    tries=$((tries + 1))
+    if [[ $tries -gt 100 ]]; then
+      echo "   ERROR: daemon still running 10s after SIGTERM:" >&2
+      sed 's/^/   | /' "$SMOKE/chaos/daemon.log" >&2
+      return 1
+    fi
+    sleep 0.1
+  done
   wait "$DAEMON" || true
   trap - EXIT
+  echo "   restarted daemon drained on SIGTERM"
 }
 
 arm_shard() {
@@ -417,6 +434,26 @@ print(f"   {n} slow-log records, all 16 schema fields present")
 EOF
 }
 
+arm_hostile() {
+  mkdir -p "$SMOKE/hostile"
+  refused() {  # gamma arguments that must fail with a structured error
+    local rc=0
+    "$GAMMA" "$@" >/dev/null 2>"$SMOKE/hostile/err" || rc=$?
+    if [[ $rc -eq 0 || $rc -ge 128 ]]; then
+      echo "   ERROR: gamma $* exited $rc:" >&2
+      sed 's/^/   | /' "$SMOKE/hostile/err" >&2
+      return 1
+    fi
+    echo "   gamma $* -> exit $rc: $(head -1 "$SMOKE/hostile/err")"
+  }
+  refused study --country ZZ
+  refused study --jobs garbage
+  # Synthetic "V.." codes are known only to the process that generated the
+  # scale world, so a later process has no policy class for them.
+  "$GAMMA" study --countries 3 --sites 30 --store-out "$SMOKE/hostile/scale.gmst" >/dev/null
+  refused store query "$SMOKE/hostile/scale.gmst" --report policy
+}
+
 echo "== tier-1: configure + build =="
 cmake -B build -S . >/dev/null
 cmake --build build -j"$JOBS"
@@ -431,6 +468,7 @@ run_arm "serve smoke: daemon up, client query, SIGTERM drain" arm_serve
 run_arm "chaos smoke: SIGKILL + restart under retry-armed client load" arm_chaos
 run_arm "shard smoke: kill mid-run, resume, merge, byte-diff all reports" arm_shard
 run_arm "pulse smoke: slow-log at --slow-ms 0, study_status to done, gamma top" arm_pulse
+run_arm "hostile smoke: bad country, bad --jobs, foreign policy query exit cleanly" arm_hostile
 
 finish() {
   if [[ ${#FAILURES[@]} -gt 0 ]]; then

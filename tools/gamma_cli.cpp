@@ -23,8 +23,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -222,9 +224,10 @@ void usage() {
 constexpr size_t kMaxScaleCountries = 1296;
 constexpr size_t kMaxScaleSites = 5'000'000;
 
-// Strict count parsing for --sites/--countries: ASCII digits only, no sign,
-// no suffix, value inside [min, max]. Anything else — "0", "-3", "1e5",
-// "99999999999999999999" — is a usage error, never a silent clamp.
+// Strict count parsing for --sites/--countries/--jobs/--seed: ASCII digits
+// only, no sign, no suffix, value inside [min, max]. Anything else — "0",
+// "-3", "1e5", "99999999999999999999" — is a usage error, never a silent
+// clamp.
 std::optional<size_t> parse_count(const char* text, size_t min, size_t max) {
   if (!text || !*text) return std::nullopt;
   for (const char* p = text; *p; ++p) {
@@ -250,6 +253,16 @@ bool parse_args(int argc, char** argv, Args& args) {
   for (int i = first; i < argc; ++i) {
     std::string flag = argv[i];
     auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
+    // The next argument as a strict count in [min, max]; says why if not.
+    auto count = [&](size_t min, size_t max) {
+      const char* v = next();
+      std::optional<size_t> n = parse_count(v, min, max);
+      if (!n) {
+        std::fprintf(stderr, "%s expects an integer in [%zu, %zu], got '%s'\n", flag.c_str(),
+                     min, max, v ? v : "");
+      }
+      return n;
+    };
     if (flag == "--country") {
       const char* v = next();
       if (!v) return false;
@@ -263,17 +276,17 @@ bool parse_args(int argc, char** argv, Args& args) {
       if (!v) return false;
       args.out = v;
     } else if (flag == "--seed") {
-      const char* v = next();
-      if (!v) return false;
-      args.seed = std::strtoull(v, nullptr, 10);
+      auto n = count(0, std::numeric_limits<uint64_t>::max());
+      if (!n) return false;
+      args.seed = *n;
     } else if (flag == "--metrics-out") {
       const char* v = next();
       if (!v) return false;
       args.metrics_out = v;
     } else if (flag == "--jobs") {
-      const char* v = next();
-      if (!v) return false;
-      args.jobs = static_cast<size_t>(std::strtoull(v, nullptr, 10));
+      auto n = count(0, std::numeric_limits<size_t>::max());
+      if (!n) return false;
+      args.jobs = *n;
     } else if (flag == "--fault-plan") {
       const char* v = next();
       if (!v) return false;
@@ -287,22 +300,12 @@ bool parse_args(int argc, char** argv, Args& args) {
       if (!v) return false;
       args.store_out = v;
     } else if (flag == "--countries") {
-      const char* v = next();
-      auto n = parse_count(v, 1, kMaxScaleCountries);
-      if (!n) {
-        std::fprintf(stderr, "--countries expects an integer in [1, %zu], got '%s'\n",
-                     kMaxScaleCountries, v ? v : "");
-        return false;
-      }
+      auto n = count(1, kMaxScaleCountries);
+      if (!n) return false;
       args.scale_countries = *n;
     } else if (flag == "--sites") {
-      const char* v = next();
-      auto n = parse_count(v, 1, kMaxScaleSites);
-      if (!n) {
-        std::fprintf(stderr, "--sites expects an integer in [1, %zu], got '%s'\n",
-                     kMaxScaleSites, v ? v : "");
-        return false;
-      }
+      auto n = count(1, kMaxScaleSites);
+      if (!n) return false;
       args.scale_sites = *n;
     } else if (flag == "--shard-dir") {
       const char* v = next();
@@ -817,27 +820,12 @@ int cmd_store(const Args& args) {
 
   util::Json doc;
   if (!args.report.empty()) {
-    if (args.report == "summary") {
-      doc = store::summary_json(*reader);
-    } else if (args.report == "prevalence") {
-      doc = analysis::to_json(store::prevalence_report(*reader));
-    } else if (args.report == "policy") {
-      doc = analysis::to_json(store::policy_report(*reader));
-    } else if (args.report == "per-site") {
-      doc = analysis::to_json(store::per_site_report(*reader));
-    } else if (args.report == "flows") {
-      doc = analysis::to_json(store::flows_report(*reader));
-    } else if (args.report == "coverage") {
-      doc = store::coverage_json(*reader);
-    } else if (args.report == "funnel") {
-      doc = store::funnel_json(*reader);
-    } else {
-      std::fprintf(stderr,
-                   "store query: unknown report '%s' "
-                   "(summary|prevalence|policy|per-site|flows|coverage|funnel)\n",
-                   args.report.c_str());
+    util::StatusOr<util::Json> report = store::report_json(*reader, args.report);
+    if (!report.ok()) {
+      std::fprintf(stderr, "store query: %s\n", report.status().message().c_str());
       return 1;
     }
+    doc = std::move(*report);
   } else {
     store::QuerySpec spec;
     auto table = store::table_from_name(args.table);
@@ -1474,19 +1462,26 @@ int main(int argc, char** argv) {
     }
   }
   int rc = 2;
-  if (args.command == "run") rc = cmd_run(args);
-  else if (args.command == "study") rc = cmd_study(args);
-  else if (args.command == "store") rc = cmd_store(args);
-  else if (args.command == "serve") rc = cmd_serve(args);
-  else if (args.command == "client") rc = cmd_client(args);
-  else if (args.command == "top") rc = cmd_top(args);
-  else if (args.command == "slowlog") rc = cmd_slowlog(args);
-  else if (args.command == "har") rc = cmd_har(args);
-  else if (args.command == "audit") rc = cmd_audit(args);
-  else if (args.command == "trace") rc = cmd_trace(args);
-  else {
-    usage();
-    return 2;
+  // A command that throws (a refused country, a failed store write, a
+  // journal locked by another study) fails with one error line and rc 1.
+  try {
+    if (args.command == "run") rc = cmd_run(args);
+    else if (args.command == "study") rc = cmd_study(args);
+    else if (args.command == "store") rc = cmd_store(args);
+    else if (args.command == "serve") rc = cmd_serve(args);
+    else if (args.command == "client") rc = cmd_client(args);
+    else if (args.command == "top") rc = cmd_top(args);
+    else if (args.command == "slowlog") rc = cmd_slowlog(args);
+    else if (args.command == "har") rc = cmd_har(args);
+    else if (args.command == "audit") rc = cmd_audit(args);
+    else if (args.command == "trace") rc = cmd_trace(args);
+    else {
+      usage();
+      return 2;
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "gamma %s: %s\n", args.command.c_str(), e.what());
+    rc = 1;
   }
   if (!args.metrics_out.empty()) {
     // A failed metrics dump is reported once (inside write_file, with the
