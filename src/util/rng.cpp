@@ -103,6 +103,10 @@ int Rng::positive_count(double mean) {
 size_t Rng::weighted(const std::vector<double>& weights) {
   double total = 0.0;
   for (double w : weights) total += (w > 0 ? w : 0);
+  return weighted(weights, total);
+}
+
+size_t Rng::weighted(const std::vector<double>& weights, double total) {
   if (total <= 0.0) return weights.size();
   double r = uniform01() * total;
   for (size_t i = 0; i < weights.size(); ++i) {

@@ -63,6 +63,12 @@ class Rng {
   /// Index drawn from unnormalized weights. Returns weights.size() on all-zero.
   size_t weighted(const std::vector<double>& weights);
 
+  /// The same draw with the total precomputed: `total` must be the in-order
+  /// sum of the positive entries of `weights`, exactly as the one-argument
+  /// form computes it, so both consume the stream alike and return the same
+  /// index. Lets a caller drawing many times from one vector sum it once.
+  size_t weighted(const std::vector<double>& weights, double total);
+
   /// Fisher-Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& v) {

@@ -69,26 +69,64 @@ int sample_tracker_count(const CountryCalibration& cal, util::Rng& rng) {
   return std::max(1, n);
 }
 
-std::vector<std::string> sample_weighted_distinct(const std::vector<std::string>& pool,
-                                                  const std::map<std::string, double>& weight,
-                                                  size_t n, util::Rng& rng) {
-  if (pool.empty()) return {};
+// Tracker FQDNs a site may embed, with their embed weights resolved once
+// and the in-order sum of the positive ones, so a draw neither looks a
+// weight up nor re-sums the vector. The FQDNs stay owned by the Builder's
+// foreign/local pools, which build_web never modifies.
+struct EmbedPool {
+  std::vector<const std::string*> fqdns;
   std::vector<double> weights;
-  weights.reserve(pool.size());
-  for (const auto& f : pool) {
-    auto it = weight.find(f);
-    weights.push_back(it == weight.end() ? 1.0 : it->second);
+  double total = 0.0;  // exactly what Rng::weighted(weights) would sum
+
+  void add(const std::string& fqdn, double w) {
+    fqdns.push_back(&fqdn);
+    weights.push_back(w);
+    total += (w > 0 ? w : 0);
   }
+};
+
+// §6.3: government websites do not transmit data to US-hosted trackers
+// anywhere except the UAE — public-sector procurement avoids them.
+bool government_avoids_us(const std::string& country) { return country != "AE"; }
+
+struct CountryPools {
+  EmbedPool foreign;     // trackers steered abroad
+  EmbedPool government;  // foreign minus US-hosted; empty where unused
+  EmbedPool local;       // trackers served in-country
+};
+
+CountryPools country_pools(Builder& b, const std::string& country) {
+  auto weight_of = [&b](const std::string& fqdn) {
+    auto it = b.fqdn_weight.find(fqdn);
+    return it == b.fqdn_weight.end() ? 1.0 : it->second;
+  };
+  CountryPools pools;
+  const bool avoid_us = government_avoids_us(country);
+  const auto& dest_of = b.fqdn_dest[country];
+  for (const auto& fqdn : b.foreign_pool[country]) {
+    const double w = weight_of(fqdn);
+    pools.foreign.add(fqdn, w);
+    if (!avoid_us) continue;
+    auto it = dest_of.find(fqdn);
+    if (it == dest_of.end() || it->second != "US") pools.government.add(fqdn, w);
+  }
+  for (const auto& fqdn : b.local_pool[country]) pools.local.add(fqdn, weight_of(fqdn));
+  return pools;
+}
+
+std::vector<std::string> sample_weighted_distinct(const EmbedPool& pool, size_t n,
+                                                  util::Rng& rng) {
+  if (pool.fqdns.empty()) return {};
   std::set<size_t> chosen;
-  size_t want = std::min(n, pool.size());
+  size_t want = std::min(n, pool.fqdns.size());
   int attempts = 0;
   while (chosen.size() < want && attempts < 400) {
     ++attempts;
-    size_t idx = rng.weighted(weights);
-    if (idx < pool.size()) chosen.insert(idx);
+    size_t idx = rng.weighted(pool.weights, pool.total);
+    if (idx < pool.fqdns.size()) chosen.insert(idx);
   }
   std::vector<std::string> out;
-  for (size_t idx : chosen) out.push_back(pool[idx]);
+  for (size_t idx : chosen) out.push_back(*pool.fqdns[idx]);
   return out;
 }
 
@@ -274,7 +312,7 @@ void build_web(Builder& b) {
 
   auto add_country_site = [&](const std::string& domain, const std::string& country,
                               web::SiteKind kind, bool adult, bool foreign_trackers,
-                              const CountryCalibration& cal) {
+                              const CountryCalibration& cal, const CountryPools& pools) {
     web::Website site;
     site.domain = domain;
     site.country = country;
@@ -299,31 +337,21 @@ void build_web(Builder& b) {
     if (foreign_trackers) {
       size_t n = static_cast<size_t>(sample_tracker_count(cal, rng));
       if (!cal.normal_dist && rng.chance(0.05)) n = n * 2 + 8;  // §6.2 outliers
-      // §6.3: government websites do not transmit data to US-hosted trackers
-      // anywhere except the UAE — public-sector procurement avoids them.
-      const std::vector<std::string>* pool = &b.foreign_pool[country];
-      std::vector<std::string> gov_pool;
-      if (kind == web::SiteKind::Government && country != "AE") {
-        const auto& dest_of = b.fqdn_dest[country];
-        for (const auto& fqdn : *pool) {
-          auto it = dest_of.find(fqdn);
-          if (it == dest_of.end() || it->second != "US") gov_pool.push_back(fqdn);
-        }
-        pool = &gov_pool;
-      }
-      for (const auto& fqdn : sample_weighted_distinct(*pool, b.fqdn_weight, n, rng)) {
+      const EmbedPool& pool =
+          kind == web::SiteKind::Government && government_avoids_us(country)
+              ? pools.government
+              : pools.foreign;
+      for (const auto& fqdn : sample_weighted_distinct(pool, n, rng)) {
         site.resources.push_back(tracker_resource(fqdn, rng));
       }
       // Tracked sites often also use locally-served trackers.
       if (rng.chance(0.4)) {
-        for (const auto& fqdn :
-             sample_weighted_distinct(b.local_pool[country], b.fqdn_weight, 1, rng)) {
+        for (const auto& fqdn : sample_weighted_distinct(pools.local, 1, rng)) {
           site.resources.push_back(tracker_resource(fqdn, rng));
         }
       }
     } else if (rng.chance(0.5)) {
-      for (const auto& fqdn : sample_weighted_distinct(b.local_pool[country], b.fqdn_weight,
-                                                       1 + rng.uniform(2), rng)) {
+      for (const auto& fqdn : sample_weighted_distinct(pools.local, 1 + rng.uniform(2), rng)) {
         site.resources.push_back(tracker_resource(fqdn, rng));
       }
     }
@@ -345,6 +373,9 @@ void build_web(Builder& b) {
     const world::CountryInfo& info = db.at(cal.code);
     std::string csuffix = commercial_suffix(info);
     std::vector<std::string> ranked;
+    // Built once per country and dropped with it, so only one country's
+    // pools are alive at a time.
+    const CountryPools pools = country_pools(b, cal.code);
 
     // Candidate regional sites (legacy: 70 = 50 for the list + replacement
     // pool; scale mode sizes this from --sites).
@@ -391,8 +422,7 @@ void build_web(Builder& b) {
         site.kind = web::SiteKind::Regional;
         site.resources.push_back({"https://" + names[i] + "/index.js",
                                   web::ResourceType::Script});
-        for (const auto& fqdn : sample_weighted_distinct(b.foreign_pool[cal.code],
-                                                         b.fqdn_weight, 14, rng)) {
+        for (const auto& fqdn : sample_weighted_distinct(pools.foreign, 14, rng)) {
           site.resources.push_back(tracker_resource(fqdn, rng));
         }
         net::IPv4 ip = add_server(b, names[i], cal.code, w.hosting_asn.at(cal.code),
@@ -400,7 +430,8 @@ void build_web(Builder& b) {
         w.zones.add_a(names[i], ip);
         w.universe.add_site(std::move(site));
       } else {
-        add_country_site(names[i], cal.code, web::SiteKind::Regional, adult, foreign, cal);
+        add_country_site(names[i], cal.code, web::SiteKind::Regional, adult, foreign, cal,
+                         pools);
       }
     }
 
@@ -427,7 +458,7 @@ void build_web(Builder& b) {
                                    : gov_tld;
       std::string domain = agency + "." + tld;
       bool foreign = rng.chance(cal.gov_prevalence / 100.0);
-      add_country_site(domain, cal.code, web::SiteKind::Government, false, foreign, cal);
+      add_country_site(domain, cal.code, web::SiteKind::Government, false, foreign, cal, pools);
       tranco_pool.push_back(domain);
     }
   }

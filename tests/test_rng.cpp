@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -148,6 +149,26 @@ TEST(Rng, WeightedProportions) {
     if (rng.weighted(w) == 1) ++count1;
   }
   EXPECT_NEAR(count1 / double(n), 0.75, 0.02);
+}
+
+TEST(Rng, WeightedWithPrecomputedTotalDrawsTheSameIndex) {
+  // Worldgen's embed weights (0.05 noise endpoints, 0.7/0.8 tail, 1-6
+  // majors) plus the zero and negative entries a draw must skip.
+  const double kValues[] = {0, -1, 0.05, 0.7, 0.8, 1, 2, 3, 3.2, 3.4, 4, 6};
+  Rng gen(2024);
+  for (int trial = 0; trial < 1000; ++trial) {
+    std::vector<double> w(1 + gen.uniform(2000));
+    // Every 50th vector is all zero: both forms return size() without a draw.
+    for (double& x : w) x = trial % 50 == 0 ? 0.0 : kValues[gen.uniform(std::size(kValues))];
+    double total = 0.0;
+    for (double x : w) total += (x > 0 ? x : 0);
+    const uint64_t seed = gen.next();
+    Rng one(seed), two(seed);
+    for (int draw = 0; draw < 8; ++draw) {
+      ASSERT_EQ(one.weighted(w), two.weighted(w, total)) << "trial " << trial;
+    }
+    ASSERT_EQ(one.next(), two.next()) << "trial " << trial;
+  }
 }
 
 TEST(Rng, SampleIndicesDistinctAndBounded) {

@@ -5,12 +5,49 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
+#include "trackers/org_db.h"
+#include "util/rng.h"
 #include "web/psl.h"
+#include "web/url.h"
 #include "worldgen/calibration.h"
 
 namespace gam::worldgen {
 namespace {
+
+// FNV-1a over what worldgen's draws decide for the study: every site in
+// insertion order (domain, country, kind, adult flag, each resource's URL
+// and type), every target list, and the topology's node count. Each field
+// ends in a NUL so no two field sequences hash the same bytes.
+uint64_t world_digest(const World& w) {
+  std::string bytes;
+  auto field = [&bytes](std::string_view s) {
+    bytes.append(s);
+    bytes.push_back('\0');
+  };
+  for (const web::Website& site : w.universe.sites()) {
+    field(site.domain);
+    field(site.country);
+    field(std::to_string(static_cast<int>(site.kind)));
+    field(site.adult ? "adult" : "");
+    for (const web::Resource& r : site.resources) {
+      field(r.url);
+      field(std::to_string(static_cast<int>(r.type)));
+    }
+    field("end-site");
+  }
+  for (const auto& [country, targets] : w.targets) {
+    field(country);
+    field(targets.regional_source);
+    for (const auto& domain : targets.regional) field(domain);
+    field("end-regional");
+    for (const auto& domain : targets.government) field(domain);
+    field("end-government");
+  }
+  field(std::to_string(w.topology.node_count()));
+  return util::fnv1a(bytes);
+}
 
 struct WorldFixture : ::testing::Test {
   static void SetUpTestSuite() { world_ = generate_world({}).release(); }
@@ -213,6 +250,59 @@ TEST_F(WorldFixture, DifferentSeedsDiffer) {
       other->resolver->resolve("doubleclick.net", "PK").primary() !=
           world_->resolver->resolve("doubleclick.net", "PK").primary();
   EXPECT_TRUE(any_difference);
+}
+
+TEST_F(WorldFixture, UniverseDigestIsPinned) {
+  // Worldgen's output bytes, pinned: a change to any draw (order, count or
+  // index) moves the digest. Recomputing these constants is a deliberate
+  // change to every generated world and every figure.
+  EXPECT_EQ(world_digest(*world_), 0x3a110142ba2c45f6ULL);
+  EXPECT_EQ(world_digest(*generate_world({.scale_countries = 3, .scale_sites = 30})),
+            0x66cf6c909941e1e7ULL);
+}
+
+TEST_F(WorldFixture, GovernmentSitesAvoidUsHostedTrackersOutsideUae) {
+  // §6.3: outside the UAE, government sites embed no tracker that their
+  // country's GeoDNS answers from a US-hosted address. Regional sites are
+  // the control: they do reach US-hosted trackers, so the check can fail.
+  struct Embeds {
+    size_t trackers = 0;
+    size_t us_hosted = 0;
+  };
+  const auto& orgdb = trackers::OrgDb::instance();
+  auto tracker_embeds = [&](const web::Website& site) {
+    Embeds e;
+    for (const web::Resource& r : site.resources) {
+      std::string host = web::host_of(r.url);
+      if (!orgdb.tracker_of_host(host)) continue;
+      ++e.trackers;
+      dns::Answer ans = world_->resolver->resolve(host, site.country);
+      EXPECT_FALSE(ans.nxdomain()) << host << " from " << site.country;
+      for (net::IPv4 ip : ans.ips) {
+        net::NodeId node = world_->topology.find_by_ip(ip);
+        EXPECT_NE(node, net::kInvalidNode) << host;
+        if (node != net::kInvalidNode && world_->topology.node(node).country == "US") {
+          ++e.us_hosted;
+        }
+      }
+    }
+    return e;
+  };
+  size_t gov_trackers = 0, reg_us_hosted = 0;
+  for (const auto& country : world::source_countries()) {
+    if (country == "AE" || country == "US") continue;
+    for (const web::Website* site :
+         world_->universe.sites_of(country, web::SiteKind::Government)) {
+      Embeds e = tracker_embeds(*site);
+      EXPECT_EQ(e.us_hosted, 0u) << site->domain;
+      gov_trackers += e.trackers;
+    }
+    for (const web::Website* site : world_->universe.sites_of(country, web::SiteKind::Regional)) {
+      reg_us_hosted += tracker_embeds(*site).us_hosted;
+    }
+  }
+  EXPECT_GT(gov_trackers, 1000u);
+  EXPECT_GT(reg_us_hosted, 0u);
 }
 
 TEST_F(WorldFixture, OverlapStudyMatchesPaperNumbers) {

@@ -26,9 +26,10 @@
 #           land in the JSONL sink with the full 16-field schema, a
 #           submitted study's study_status RPC must reach "done", and
 #           `gamma top --once --json` must emit a parseable sample
-#   hostile an unknown --country, a non-numeric --jobs, and a policy report
-#           over a store of codes this process does not know must each fail
-#           with a structured error (exit nonzero, below 128), never a signal
+#   hostile an unknown --country, a non-numeric --jobs, a policy report
+#           over a store of codes this process does not know, a suffixed
+#           --limit and a NaN --rate must each fail with a structured error
+#           (exit nonzero, below 128), never a signal
 #
 # Sanitizers:
 #   tsan  -> shared-state suites (thread pool, parallel study runner,
@@ -452,6 +453,11 @@ arm_hostile() {
   # scale world, so a later process has no policy class for them.
   "$GAMMA" study --countries 3 --sites 30 --store-out "$SMOKE/hostile/scale.gmst" >/dev/null
   refused store query "$SMOKE/hostile/scale.gmst" --report policy
+  # Numeric flags parse strictly: a suffixed count or a NaN rate is a usage
+  # error, not a silent 12 or NaN. No serve command runs here, so a parsing
+  # bug cannot leave a daemon behind.
+  refused store query "$SMOKE/hostile/scale.gmst" --report funnel --limit 12abc
+  refused store query "$SMOKE/hostile/scale.gmst" --report funnel --rate nan
 }
 
 echo "== tier-1: configure + build =="
@@ -468,7 +474,7 @@ run_arm "serve smoke: daemon up, client query, SIGTERM drain" arm_serve
 run_arm "chaos smoke: SIGKILL + restart under retry-armed client load" arm_chaos
 run_arm "shard smoke: kill mid-run, resume, merge, byte-diff all reports" arm_shard
 run_arm "pulse smoke: slow-log at --slow-ms 0, study_status to done, gamma top" arm_pulse
-run_arm "hostile smoke: bad country, bad --jobs, foreign policy query exit cleanly" arm_hostile
+run_arm "hostile smoke: bad country, bad numeric flags, foreign policy query exit cleanly" arm_hostile
 
 finish() {
   if [[ ${#FAILURES[@]} -gt 0 ]]; then

@@ -19,6 +19,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -224,10 +225,10 @@ void usage() {
 constexpr size_t kMaxScaleCountries = 1296;
 constexpr size_t kMaxScaleSites = 5'000'000;
 
-// Strict count parsing for --sites/--countries/--jobs/--seed: ASCII digits
-// only, no sign, no suffix, value inside [min, max]. Anything else — "0",
-// "-3", "1e5", "99999999999999999999" — is a usage error, never a silent
-// clamp.
+// Strict count parsing for every integer flag and GAMMA_SERVE_PORT: ASCII
+// digits only, no sign, no suffix, value inside [min, max]. Anything else —
+// "0" below a minimum of 1, "-3", "1e5", "99999999999999999999" — is a usage
+// error, never a silent clamp.
 std::optional<size_t> parse_count(const char* text, size_t min, size_t max) {
   if (!text || !*text) return std::nullopt;
   for (const char* p = text; *p; ++p) {
@@ -239,6 +240,35 @@ std::optional<size_t> parse_count(const char* text, size_t min, size_t max) {
   if (errno == ERANGE || end == text || *end != '\0') return std::nullopt;
   if (v < min || v > max) return std::nullopt;
   return static_cast<size_t>(v);
+}
+
+// Strict parsing for the real-valued flags (rates, backoffs, thresholds):
+// strtod must consume the whole token and yield a finite value >= 0, so
+// "nan", "inf", "-1", "5ms" and "" are usage errors.
+std::optional<double> parse_nonneg_real(const char* text) {
+  if (!text || !*text) return std::nullopt;
+  char* end = nullptr;
+  double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(v) || v < 0) return std::nullopt;
+  return v;
+}
+
+constexpr size_t kMaxPort = 65535;
+
+// GAMMA_SERVE_PORT, as strict as --port. Unset or empty leaves `port`
+// alone; a valid value sets it; anything else is named on stderr and
+// returns false.
+bool read_env_port(int& port) {
+  const char* env = std::getenv("GAMMA_SERVE_PORT");
+  if (!env || !*env) return true;
+  std::optional<size_t> n = parse_count(env, 0, kMaxPort);
+  if (!n) {
+    std::fprintf(stderr, "GAMMA_SERVE_PORT expects an integer in [0, %zu], got '%s'\n",
+                 kMaxPort, env);
+    return false;
+  }
+  port = static_cast<int>(*n);
+  return true;
 }
 
 bool parse_args(int argc, char** argv, Args& args) {
@@ -262,6 +292,16 @@ bool parse_args(int argc, char** argv, Args& args) {
                      min, max, v ? v : "");
       }
       return n;
+    };
+    // The next argument as a finite real >= 0; says why if not.
+    auto real = [&]() {
+      const char* v = next();
+      std::optional<double> x = parse_nonneg_real(v);
+      if (!x) {
+        std::fprintf(stderr, "%s expects a finite number >= 0, got '%s'\n", flag.c_str(),
+                     v ? v : "");
+      }
+      return x;
     };
     if (flag == "--country") {
       const char* v = next();
@@ -344,17 +384,17 @@ bool parse_args(int argc, char** argv, Args& args) {
     } else if (flag == "--flows") {
       args.flows = true;
     } else if (flag == "--limit") {
-      const char* v = next();
-      if (!v) return false;
-      args.limit = static_cast<size_t>(std::strtoull(v, nullptr, 10));
+      auto n = count(0, std::numeric_limits<size_t>::max());
+      if (!n) return false;
+      args.limit = *n;
     } else if (flag == "--host") {
       const char* v = next();
       if (!v) return false;
       args.host = v;
     } else if (flag == "--port") {
-      const char* v = next();
-      if (!v) return false;
-      args.port = std::atoi(v);
+      auto n = count(0, kMaxPort);
+      if (!n) return false;
+      args.port = static_cast<int>(*n);
     } else if (flag == "--socket") {
       const char* v = next();
       if (!v) return false;
@@ -368,57 +408,57 @@ bool parse_args(int argc, char** argv, Args& args) {
       if (!v) return false;
       args.port_file = v;
     } else if (flag == "--workers") {
-      const char* v = next();
-      if (!v) return false;
-      args.workers = static_cast<size_t>(std::strtoull(v, nullptr, 10));
+      auto n = count(0, std::numeric_limits<size_t>::max());
+      if (!n) return false;
+      args.workers = *n;
     } else if (flag == "--queue") {
-      const char* v = next();
-      if (!v) return false;
-      args.queue = static_cast<size_t>(std::strtoull(v, nullptr, 10));
+      auto n = count(0, std::numeric_limits<size_t>::max());
+      if (!n) return false;
+      args.queue = *n;
     } else if (flag == "--reactors") {
-      const char* v = next();
-      if (!v) return false;
-      args.reactors = static_cast<size_t>(std::strtoull(v, nullptr, 10));
+      auto n = count(0, std::numeric_limits<size_t>::max());
+      if (!n) return false;
+      args.reactors = *n;
     } else if (flag == "--chunk-bytes") {
-      const char* v = next();
-      if (!v) return false;
-      args.chunk_bytes = static_cast<size_t>(std::strtoull(v, nullptr, 10));
+      auto n = count(0, std::numeric_limits<size_t>::max());
+      if (!n) return false;
+      args.chunk_bytes = *n;
     } else if (flag == "--rate") {
-      const char* v = next();
-      if (!v) return false;
-      args.rate = std::strtod(v, nullptr);
+      auto x = real();
+      if (!x) return false;
+      args.rate = *x;
     } else if (flag == "--burst") {
-      const char* v = next();
-      if (!v) return false;
-      args.burst = std::strtod(v, nullptr);
+      auto x = real();
+      if (!x) return false;
+      args.burst = *x;
     } else if (flag == "--retry") {
-      const char* v = next();
-      if (!v) return false;
-      args.retry = std::atoi(v);
+      auto n = count(0, std::numeric_limits<int>::max());
+      if (!n) return false;
+      args.retry = static_cast<int>(*n);
     } else if (flag == "--retry-base-ms") {
-      const char* v = next();
-      if (!v) return false;
-      args.retry_base_ms = std::strtod(v, nullptr);
+      auto x = real();
+      if (!x) return false;
+      args.retry_base_ms = *x;
     } else if (flag == "--retry-max-ms") {
-      const char* v = next();
-      if (!v) return false;
-      args.retry_max_ms = std::strtod(v, nullptr);
+      auto x = real();
+      if (!x) return false;
+      args.retry_max_ms = *x;
     } else if (flag == "--retry-deadline-ms") {
-      const char* v = next();
-      if (!v) return false;
-      args.retry_deadline_ms = std::strtod(v, nullptr);
+      auto x = real();
+      if (!x) return false;
+      args.retry_deadline_ms = *x;
     } else if (flag == "--slow-ms") {
-      const char* v = next();
-      if (!v) return false;
-      args.slow_ms = std::strtod(v, nullptr);
+      auto x = real();
+      if (!x) return false;
+      args.slow_ms = *x;
     } else if (flag == "--slow-log") {
       const char* v = next();
       if (!v) return false;
       args.slow_log = v;
     } else if (flag == "--job") {
-      const char* v = next();
-      if (!v) return false;
-      args.job = std::strtoull(v, nullptr, 10);
+      auto n = count(0, std::numeric_limits<uint64_t>::max());
+      if (!n) return false;
+      args.job = *n;
     } else if (flag == "--progress") {
       args.progress = true;
     } else if (flag == "--once") {
@@ -426,9 +466,9 @@ bool parse_args(int argc, char** argv, Args& args) {
     } else if (flag == "--json") {
       args.json_out = true;
     } else if (flag == "--interval-ms") {
-      const char* v = next();
-      if (!v) return false;
-      args.interval_ms = std::strtod(v, nullptr);
+      auto x = real();
+      if (!x) return false;
+      args.interval_ms = *x;
     } else if (!flag.empty() && flag[0] != '-' && args.command == "slowlog" &&
                args.slowlog_file.empty()) {
       args.slowlog_file = flag;  // positional FILE for `gamma slowlog`
@@ -897,10 +937,11 @@ int cmd_serve(const Args& args) {
     }
     options.service.fault_plan = *plan;
   }
+  // Only a TCP daemon reads GAMMA_SERVE_PORT; a --socket one has no port.
   if (args.port >= 0) {
     options.port = args.port;
-  } else if (const char* env = std::getenv("GAMMA_SERVE_PORT")) {
-    options.port = std::atoi(env);
+  } else if (args.socket_path.empty() && !read_env_port(options.port)) {
+    return 2;
   }  // else ephemeral (0): the GAMMA_SERVE_PORT=0 convention is the default
 
   auto server = serve::Server::start(std::move(options));
@@ -940,8 +981,10 @@ int cmd_serve(const Args& args) {
 // --port, else --port-file, else GAMMA_SERVE_PORT. The self-healing layer
 // covers calls on an established client; the very first dial can race a
 // daemon restart too, so it gets the same bounded backoff when --retry is
-// armed. Returns nullptr after printing the failure.
-std::unique_ptr<serve::Client> dial_client(const Args& args) {
+// armed. Returns nullptr after printing the failure, with `rc` set to the
+// exit code: 2 for a malformed GAMMA_SERVE_PORT, 1 for any other failure.
+std::unique_ptr<serve::Client> dial_client(const Args& args, int& rc) {
+  rc = 1;
   util::RetryPolicy retry_policy;
   retry_policy.max_attempts = args.retry;
   retry_policy.base_delay_ms = args.retry_base_ms;
@@ -978,8 +1021,9 @@ std::unique_ptr<serve::Client> dial_client(const Args& args) {
         return nullptr;
       }
     }
-    if (port < 0) {
-      if (const char* env = std::getenv("GAMMA_SERVE_PORT")) port = std::atoi(env);
+    if (port < 0 && !read_env_port(port)) {
+      rc = 2;
+      return nullptr;
     }
     if (port <= 0 || port > 65535) {
       std::fprintf(stderr,
@@ -1000,8 +1044,9 @@ std::unique_ptr<serve::Client> dial_client(const Args& args) {
 }
 
 int cmd_client(const Args& args) {
-  std::unique_ptr<serve::Client> client = dial_client(args);
-  if (!client) return 1;
+  int rc = 1;
+  std::unique_ptr<serve::Client> client = dial_client(args, rc);
+  if (!client) return rc;
 
   std::string kind = args.subcommand;
   util::Json params = util::Json::object();
@@ -1198,8 +1243,9 @@ void render_top(const util::Json& s, bool clear_screen) {
 }
 
 int cmd_top(const Args& args) {
-  std::unique_ptr<serve::Client> client = dial_client(args);
-  if (!client) return 1;
+  int rc = 1;
+  std::unique_ptr<serve::Client> client = dial_client(args, rc);
+  if (!client) return rc;
 
   // One failed control RPC fails the sample; the caller decides whether to
   // re-dial (loop mode keeps trying via the client's own retry layer).
