@@ -14,13 +14,21 @@ void ZoneStore::add_ptr(net::IPv4 ip, std::string_view hostname) {
   ptr_[ip] = std::string(hostname);
 }
 
+SteeredRecord& ZoneStore::steered_record(std::string_view name) {
+  // Look the name up before building a key: worldgen extends each steered
+  // name once per client country, and only its first record needs a copy.
+  auto it = steered_.find(name);
+  if (it == steered_.end()) it = steered_.emplace(std::string(name), SteeredRecord{}).first;
+  return it->second;
+}
+
 void ZoneStore::add_steered(std::string_view name, std::string_view client_country,
                             net::IPv4 ip) {
-  steered_[std::string(name)].per_country[std::string(client_country)].push_back(ip);
+  steered_record(name).per_country[std::string(client_country)].push_back(ip);
 }
 
 void ZoneStore::add_steered_default(std::string_view name, net::IPv4 ip) {
-  steered_[std::string(name)].default_ips.push_back(ip);
+  steered_record(name).default_ips.push_back(ip);
 }
 
 const std::vector<net::IPv4>* ZoneStore::find_a(std::string_view name) const {

@@ -51,6 +51,9 @@ class ZoneStore {
   bool has_name(std::string_view name) const;
 
  private:
+  /// The steered record for `name`, created empty on first use.
+  SteeredRecord& steered_record(std::string_view name);
+
   std::map<std::string, std::vector<net::IPv4>, std::less<>> a_;
   std::map<std::string, std::string, std::less<>> cname_;
   std::map<std::string, SteeredRecord, std::less<>> steered_;

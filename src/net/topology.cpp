@@ -22,7 +22,7 @@ NodeId Topology::add_node(NodeKind kind, std::string name, std::string country,
   if (ip != 0) by_ip_[ip] = n.id;
   nodes_.push_back(std::move(n));
   adj_.emplace_back();
-  invalidate_routes();
+  if (route_memo_used_.load()) invalidate_routes();
   return nodes_.back().id;
 }
 
@@ -35,7 +35,7 @@ void Topology::add_link(NodeId a, NodeId b, double inflation) {
 void Topology::add_link_latency(NodeId a, NodeId b, double one_way_ms) {
   adj_[a].push_back({b, one_way_ms});
   adj_[b].push_back({a, one_way_ms});
-  invalidate_routes();
+  if (route_memo_used_.load()) invalidate_routes();
 }
 
 std::shared_ptr<const Topology::SourceTree> Topology::compute_tree(NodeId from) const {
@@ -82,7 +82,9 @@ std::shared_ptr<const Topology::SourceTree> Topology::tree_for(NodeId from) cons
   // which wastes a little work but never blocks readers on a graph walk.
   std::shared_ptr<const SourceTree> tree = compute_tree(from);
   std::unique_lock lock(shard.mu);
-  return shard.trees.try_emplace(from, std::move(tree)).first->second;
+  auto inserted = shard.trees.try_emplace(from, std::move(tree)).first;
+  route_memo_used_.store(true);
+  return inserted->second;
 }
 
 std::optional<Path> Topology::shortest_path(NodeId from, NodeId to) const {
@@ -126,6 +128,7 @@ std::vector<NodeId> Topology::nodes_of_kind(NodeKind kind) const {
 }
 
 void Topology::invalidate_routes() const {
+  route_memo_used_.store(false);
   for (RouteShard& shard : route_shards_) {
     std::unique_lock lock(shard.mu);
     shard.trees.clear();

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -60,7 +61,10 @@ class Topology {
   static constexpr double kHopProcessingMs = 0.15;
 
   /// Add a node; returns its id. If `ip` is non-zero the node becomes
-  /// addressable (find_by_ip / traceroute destination).
+  /// addressable (find_by_ip / traceroute destination). Like the link
+  /// mutators, it drops the route memo when the memo holds a tree, so a
+  /// query after any mutation sees the new graph; building a graph before
+  /// its first query touches no memo lock.
   NodeId add_node(NodeKind kind, std::string name, std::string country, std::string city,
                   geo::Coord coord, uint32_t asn, IPv4 ip = 0);
 
@@ -119,6 +123,10 @@ class Topology {
     std::unordered_map<NodeId, std::shared_ptr<const SourceTree>> trees;
   };
   mutable std::array<RouteShard, kRouteShards> route_shards_;
+  // True whenever some shard may hold a tree: set under the shard lock after
+  // an insert, cleared by invalidate_routes() before it clears the shards,
+  // so a memo that holds a tree never reads false.
+  mutable std::atomic<bool> route_memo_used_{false};
 };
 
 }  // namespace gam::net

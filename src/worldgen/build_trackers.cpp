@@ -10,6 +10,13 @@ namespace gam::worldgen::internal {
 
 namespace {
 
+/// Steering decision for one tracker registrable domain in one country.
+struct Steer {
+  std::string dest;        // hosting country ("" = the source country itself)
+  std::string claim_dest;  // non-empty: IPmap will *claim* this country instead
+  std::string claim_city;  // city for the wrong claim
+};
+
 const std::set<std::string>& major_orgs() {
   static const std::set<std::string> kMajors = {"Google",  "Facebook", "Twitter",
                                                 "Amazon",  "Yahoo",    "Microsoft"};
@@ -113,6 +120,7 @@ void build_trackers(Builder& b) {
   const auto& orgdb = trackers::OrgDb::instance();
 
   // ---- FQDNs per tracker registrable domain. ----
+  std::map<std::string, double> fqdn_weight;  // embed weight per FQDN
   for (const auto& t : orgdb.tracker_domains()) {
     std::vector<std::string>& hosts = b.fqdns[t.domain];
     hosts.push_back(t.domain);  // the bare domain itself is contacted too
@@ -131,20 +139,21 @@ void build_trackers(Builder& b) {
     else if (t.org == "Microsoft") weight = 2.0;
     else if (exclusive_orgs().count(t.org)) weight = 0.8;
     else if (!t.in_easylist) weight = 0.7;
-    for (const auto& h : hosts) b.fqdn_weight[h] = weight;
+    for (const auto& h : hosts) fqdn_weight[h] = weight;
   }
   // Chromedriver's background service endpoints must resolve (the browser
   // contacts them on every load); they ride on googleapis.com hosting.
   for (const char* noise : {"update.googleapis.com", "safebrowsing.googleapis.com",
                             "optimizationguide-pa.googleapis.com"}) {
     b.fqdns["googleapis.com"].push_back(noise);
-    b.fqdn_weight[noise] = 0.05;
+    fqdn_weight[noise] = 0.05;
   }
 
   // ---- Steering decisions: one per (organization, country), shared by all
   // of the org's domains — a tracking network serves a whole country from
   // one deployment, which is what keeps a country's flows concentrated on a
-  // few destinations (Fig 5).
+  // few destinations (Fig 5). Each registrable domain gets a copy, with the
+  // documented per-domain error cases overriding afterwards.
   std::map<std::string, std::map<std::string, Steer>> org_steer;  // org -> country -> steer
   for (const auto& org : orgdb.orgs()) {
     auto exclusive = exclusive_orgs().find(org.name);
@@ -153,37 +162,54 @@ void build_trackers(Builder& b) {
       org_steer[org.name][cal.code] = decide_steer(cal, org.name, rng);
     }
   }
+  std::map<std::string, std::map<std::string, Steer>> steering;  // domain -> country -> steer
   for (const auto& t : orgdb.tracker_domains()) {
-    auto& by_country = b.steering[t.domain];
+    auto& by_country = steering[t.domain];
     by_country = org_steer[t.org];
     apply_error_cases(by_country, t.domain);
   }
 
   // ---- Deployments + steered DNS records. ----
-  // One address per (FQDN, hosting country[, error tag]); shared across all
-  // source countries steered there — exactly how a PoP behaves.
-  std::map<std::string, net::IPv4> deployment_ip;  // key: fqdn|dest|errtag
-  auto deploy = [&](const std::string& fqdn, const std::string& org,
-                    const std::string& dest, const Steer& steer) -> net::IPv4 {
-    std::string err_tag = steer.claim_dest.empty() ? "" : "|err-" + steer.claim_dest;
-    std::string key = fqdn + "|" + dest + err_tag;
-    if (auto it = deployment_ip.find(key); it != deployment_ip.end()) return it->second;
-
-    const world::CountryInfo& country = db.at(dest);
-    const world::City& city = country.primary_city();
-    std::string provider = provider_for(org);
-    static const std::set<std::string> kRegionCountries = {
-        "US", "DE", "FR", "GB", "IE", "NL", "SG", "JP", "AU", "IN", "BR"};
-    cdn::PopKind kind =
-        kRegionCountries.count(dest) ? cdn::PopKind::Region : cdn::PopKind::Edge;
+  // One PoP per (FQDN, hosting country, claimed country), shared by every
+  // source country steered there — exactly how a PoP behaves — while a
+  // planted error case stands on a PoP of its own. A registrable domain's
+  // FQDNs all follow its steering, so the placements and each source
+  // country's answer are worked out once per domain; no FQDN belongs to two
+  // domains, so each FQDN's PoPs are its own.
+  struct HostCountry {  // where a PoP stands, resolved once per country
+    const world::CountryInfo* info = nullptr;
+    cdn::PopKind kind = cdn::PopKind::Edge;
+    net::NodeId core_router = net::kInvalidNode;
+  };
+  std::map<std::string, HostCountry> host_countries;
+  auto host_country = [&](const std::string& code) -> const HostCountry* {
+    auto [it, fresh] = host_countries.try_emplace(code);
+    if (fresh) {
+      static const std::set<std::string> kRegionCountries = {
+          "US", "DE", "FR", "GB", "IE", "NL", "SG", "JP", "AU", "IN", "BR"};
+      it->second = {&db.at(code),
+                    kRegionCountries.count(code) ? cdn::PopKind::Region : cdn::PopKind::Edge,
+                    w.core_router.at(code)};
+    }
+    return &it->second;
+  };
+  // One (hosting country, claimed country) a domain deploys to. The first
+  // source country steered there supplies the steering decision the PoP's
+  // draws read.
+  struct Placement {
+    const Steer* steer = nullptr;
+    const HostCountry* host = nullptr;
+  };
+  auto deploy = [&](const std::string& provider, const Placement& at) -> net::IPv4 {
+    const Steer& steer = *at.steer;
+    const world::CountryInfo& country = *at.host->info;
     // The documented error cases were caught via their hostnames ("reverse
     // DNS information showed evidence for Amsterdam", §4.1.3) — their PTRs
     // must carry the city hint. Ordinary PoPs have hints ~75% of the time.
     bool with_hint = !steer.claim_dest.empty() || rng.chance(0.75);
     cdn::Deployment& d =
-        w.cdn.deploy(provider, country, city, kind, w.topology, w.registry, w.zones,
-                     w.core_router.at(dest), with_hint);
-    deployment_ip[key] = d.ip;
+        w.cdn.deploy(provider, country, country.primary_city(), at.host->kind,
+                     w.topology, w.registry, w.zones, at.host->core_router, with_hint);
 
     bool is_local_pop = steer.dest.empty();
     if (!steer.claim_dest.empty()) {
@@ -196,7 +222,7 @@ void build_trackers(Builder& b) {
         const world::CountryInfo* wrong;
         do {
           wrong = continent_peers[rng.uniform(continent_peers.size())];
-        } while (wrong->code == dest);
+        } while (wrong->code == country.code);
         b.planned_errors.push_back(
             {d.ip, wrong->code, wrong->primary_city().name});
       }
@@ -206,20 +232,41 @@ void build_trackers(Builder& b) {
     return d.ip;
   };
 
+  // One source country's answer for a domain's FQDNs.
+  struct Answer {
+    const std::string* country = nullptr;
+    size_t placement = 0;                             // index into `placements`
+    std::vector<Builder::PoolEntry>* pool = nullptr;  // its foreign or local pool
+    bool us_hosted = false;
+  };
+  std::vector<Placement> placements;
+  std::vector<Answer> answers;
+  std::vector<net::IPv4> placement_ip;
   for (const auto& t : orgdb.tracker_domains()) {
-    const auto& by_country = b.steering[t.domain];
+    const std::string provider = provider_for(t.org);
+    placements.clear();
+    answers.clear();
+    for (const auto& [country, steer] : steering[t.domain]) {
+      const std::string& dest = steer.dest.empty() ? country : steer.dest;
+      auto at = std::find_if(placements.begin(), placements.end(), [&](const Placement& p) {
+        return p.host->info->code == dest && p.steer->claim_dest == steer.claim_dest;
+      });
+      const size_t index = static_cast<size_t>(at - placements.begin());
+      if (at == placements.end()) placements.push_back({&steer, host_country(dest)});
+      auto& pools = steer.dest.empty() ? b.local_pool : b.foreign_pool;
+      answers.push_back({&country, index, &pools[country], dest == "US"});
+    }
+    if (answers.empty()) continue;
     for (const auto& fqdn : b.fqdns[t.domain]) {
-      net::IPv4 default_ip = 0;
-      for (const auto& [country, steer] : by_country) {
-        std::string dest = steer.dest.empty() ? country : steer.dest;
-        net::IPv4 ip = deploy(fqdn, t.org, dest, steer);
-        w.zones.add_steered(fqdn, country, ip);
-        if (default_ip == 0) default_ip = ip;
-        auto& pool = steer.dest.empty() ? b.local_pool[country] : b.foreign_pool[country];
-        pool.push_back(fqdn);
-        b.fqdn_dest[country][fqdn] = dest;
+      const double weight = fqdn_weight.at(fqdn);
+      placement_ip.assign(placements.size(), 0);
+      for (const Answer& a : answers) {
+        net::IPv4& ip = placement_ip[a.placement];
+        if (ip == 0) ip = deploy(provider, placements[a.placement]);
+        w.zones.add_steered(fqdn, *a.country, ip);
+        a.pool->push_back({&fqdn, weight, a.us_hosted});
       }
-      if (default_ip != 0) w.zones.add_steered_default(fqdn, default_ip);
+      w.zones.add_steered_default(fqdn, placement_ip[answers.front().placement]);
     }
   }
 

@@ -69,10 +69,10 @@ int sample_tracker_count(const CountryCalibration& cal, util::Rng& rng) {
   return std::max(1, n);
 }
 
-// Tracker FQDNs a site may embed, with their embed weights resolved once
-// and the in-order sum of the positive ones, so a draw neither looks a
-// weight up nor re-sums the vector. The FQDNs stay owned by the Builder's
-// foreign/local pools, which build_web never modifies.
+// Tracker FQDNs a site may embed, with their embed weights and the in-order
+// sum of the positive ones, so a draw neither looks a weight up nor re-sums
+// the vector. The FQDNs stay owned by Builder::fqdns, whose vectors
+// build_web never modifies.
 struct EmbedPool {
   std::vector<const std::string*> fqdns;
   std::vector<double> weights;
@@ -96,21 +96,13 @@ struct CountryPools {
 };
 
 CountryPools country_pools(Builder& b, const std::string& country) {
-  auto weight_of = [&b](const std::string& fqdn) {
-    auto it = b.fqdn_weight.find(fqdn);
-    return it == b.fqdn_weight.end() ? 1.0 : it->second;
-  };
   CountryPools pools;
   const bool avoid_us = government_avoids_us(country);
-  const auto& dest_of = b.fqdn_dest[country];
-  for (const auto& fqdn : b.foreign_pool[country]) {
-    const double w = weight_of(fqdn);
-    pools.foreign.add(fqdn, w);
-    if (!avoid_us) continue;
-    auto it = dest_of.find(fqdn);
-    if (it == dest_of.end() || it->second != "US") pools.government.add(fqdn, w);
+  for (const Builder::PoolEntry& e : b.foreign_pool[country]) {
+    pools.foreign.add(*e.fqdn, e.weight);
+    if (avoid_us && !e.us_hosted) pools.government.add(*e.fqdn, e.weight);
   }
-  for (const auto& fqdn : b.local_pool[country]) pools.local.add(fqdn, weight_of(fqdn));
+  for (const Builder::PoolEntry& e : b.local_pool[country]) pools.local.add(*e.fqdn, e.weight);
   return pools;
 }
 
@@ -511,14 +503,20 @@ void build_web(Builder& b) {
       const auto& ranked = reg_ranking[cal.code];
       for (size_t r = 0; r < ranked.size(); ++r) score[ranked[r]] += 1.0 / double(r + 1);
     }
-    std::sort(tranco_pool.begin(), tranco_pool.end(),
-              [&score](const std::string& a, const std::string& x) {
-                auto ia = score.find(a), ix = score.find(x);
-                double sa = ia == score.end() ? 0.0 : ia->second;
-                double sx = ix == score.end() ? 0.0 : ix->second;
-                if (sa != sx) return sa > sx;
-                return a < x;  // deterministic tie-break (unlisted gov sites)
-              });
+    // Each domain's score is looked up once and sorted with it. The order
+    // is strict and total (score descending, then domain), so the result is
+    // the one sorting the domains themselves would give.
+    std::vector<std::pair<double, std::string>> by_score;
+    by_score.reserve(tranco_pool.size());
+    for (std::string& domain : tranco_pool) {
+      auto it = score.find(domain);
+      by_score.emplace_back(it == score.end() ? 0.0 : it->second, std::move(domain));
+    }
+    std::sort(by_score.begin(), by_score.end(), [](const auto& a, const auto& x) {
+      if (a.first != x.first) return a.first > x.first;
+      return a.second < x.second;  // deterministic tie-break (unlisted gov sites)
+    });
+    for (size_t i = 0; i < by_score.size(); ++i) tranco_pool[i] = std::move(by_score[i].second);
   }
   const std::set<std::string> tranco_gov_holdout = {"RW", "QA"};
   for (const auto& domain : tranco_pool) {

@@ -12,13 +12,6 @@
 
 namespace gam::worldgen::internal {
 
-/// Steering decision for one tracker registrable domain in one country.
-struct Steer {
-  std::string dest;        // hosting country ("" = the source country itself)
-  std::string claim_dest;  // non-empty: IPmap will *claim* this country instead
-  std::string claim_city;  // city for the wrong claim
-};
-
 /// Site-count plan for one country's web stage. Legacy values reproduce the
 /// paper's constants; scale mode derives them from --sites/--countries.
 struct ScalePlan {
@@ -51,18 +44,16 @@ struct Builder {
   // Tracker machinery (filled by build_trackers).
   // registrable domain -> its FQDNs.
   std::map<std::string, std::vector<std::string>> fqdns;
-  // (registrable domain, source country) -> steering decision. Decisions are
-  // made once per (organization, country) — a provider serves a whole
-  // country from one place — then copied to each of its registrable domains,
-  // with the documented per-domain error cases overriding afterwards.
-  std::map<std::string, std::map<std::string, Steer>> steering;
-  // source country -> FQDN -> hosting country (destination of its steering).
-  std::map<std::string, std::map<std::string, std::string>> fqdn_dest;
+  // One tracker FQDN a source country's sites may embed, as that country's
+  // GeoDNS answers it.
+  struct PoolEntry {
+    const std::string* fqdn = nullptr;  // owned by `fqdns`
+    double weight = 1.0;                // embed weight (majors weigh more)
+    bool us_hosted = false;             // answered from a US PoP (§6.3)
+  };
   // Per source country: tracker FQDNs that steer abroad / stay local.
-  std::map<std::string, std::vector<std::string>> foreign_pool;
-  std::map<std::string, std::vector<std::string>> local_pool;
-  // Weight of each FQDN when sampling site embeds (majors weigh more).
-  std::map<std::string, double> fqdn_weight;
+  std::map<std::string, std::vector<PoolEntry>> foreign_pool;
+  std::map<std::string, std::vector<PoolEntry>> local_pool;
 
   // Addresses whose IPmap record must be overwritten after ground truth is
   // ingested (the planted error cases + random DB noise).

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
+#include <vector>
 
 #include "net/asn.h"
 #include "net/ip.h"
@@ -199,15 +201,40 @@ TEST(Topology, NodesOfKind) {
 }
 
 TEST(Topology, RouteCacheInvalidatedOnMutation) {
+  // A query after any mutation sees the mutated graph: each mutator drops
+  // the memo when it holds a tree, and the next query refills it.
   Topology topo;
   NodeId a = topo.add_node(NodeKind::Router, "a", "FR", "Paris", kParis, 1, 1);
   NodeId b = topo.add_node(NodeKind::Router, "b", "DE", "Frankfurt", kFrankfurt, 1, 2);
   topo.add_link_latency(a, b, 50.0);
-  EXPECT_DOUBLE_EQ(topo.latency_ms(a, b), 50.0);  // warms the cache
+  EXPECT_EQ(topo.route_cache_size(), 0u);
+  EXPECT_DOUBLE_EQ(topo.latency_ms(a, b), 50.0);  // warms the memo
+  EXPECT_EQ(topo.route_cache_size(), 1u);
+
+  // add_node alone: the new node is unreachable, and the tree memoized
+  // before it does not even have a slot for it.
   NodeId c = topo.add_node(NodeKind::Router, "c", "US", "NYC", kNYC, 1, 3);
-  topo.add_link_latency(a, c, 5.0);
-  topo.add_link_latency(c, b, 5.0);
-  EXPECT_DOUBLE_EQ(topo.latency_ms(a, b), 10.0);  // picks the new route
+  EXPECT_EQ(topo.route_cache_size(), 0u);
+  EXPECT_EQ(topo.latency_ms(a, c), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(topo.route_cache_size(), 1u);
+
+  // add_link: c becomes reachable at its geographic latency.
+  topo.add_link(a, c);
+  EXPECT_EQ(topo.route_cache_size(), 0u);
+  const double a_to_c = geo::haversine_km(kParis, kNYC) * Topology::kDefaultInflation /
+                            geo::kFiberKmPerMs +
+                        Topology::kHopProcessingMs;
+  EXPECT_DOUBLE_EQ(topo.latency_ms(a, c), a_to_c);
+  EXPECT_EQ(topo.route_cache_size(), 1u);
+
+  // add_link_latency: a -> c -> b undercuts the direct 50 ms link.
+  topo.add_link_latency(c, b, 1.0);
+  EXPECT_EQ(topo.route_cache_size(), 0u);
+  auto path = topo.shortest_path(a, b);
+  ASSERT_TRUE(path.has_value());
+  EXPECT_EQ(path->nodes, (std::vector<NodeId>{a, c, b}));
+  EXPECT_DOUBLE_EQ(path->one_way_ms, a_to_c + 1.0);
+  EXPECT_EQ(topo.route_cache_size(), 1u);
 }
 
 // Physics invariant: for geographically-placed links, the RTT between any

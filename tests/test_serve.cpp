@@ -36,6 +36,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -79,17 +80,24 @@ std::string temp_path(const std::string& name) {
 }
 
 /// A small two-country store, built once: the query byte-identity target.
+/// One per process, removed at exit: ctest runs each test in a process of
+/// its own, in parallel, and two processes publishing one path race on its
+/// temp file.
 const std::string& shared_store() {
-  static const std::string path = [] {
-    std::string p = temp_path("serve_shared.gmst");
+  struct Store {
+    std::string path;
+    ~Store() { std::remove(path.c_str()); }
+  };
+  static const Store store = [] {
+    std::string p = temp_path("serve_shared-" + std::to_string(::getpid()) + ".gmst");
     worldgen::StudyOptions options;
     options.seed = 23;
     options.countries = {"US", "GB"};
     options.store_out = p;
     worldgen::run_study(*shared_world(), options);
-    return p;
+    return Store{p};
   }();
-  return path;
+  return store.path;
 }
 
 std::unique_ptr<Server> start_server(ServerOptions options = {}) {

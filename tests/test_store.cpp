@@ -9,7 +9,10 @@
 //    ASan/UBSan in tools/check.sh).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -55,17 +58,23 @@ std::string store_path(const std::string& name) {
   return std::string(::testing::TempDir()) + "/" + name;
 }
 
-/// Write the shared study's store once and cache the path.
+/// Write the shared study's store once and cache the path. One per process,
+/// removed at exit: ctest runs each test in a process of its own, in
+/// parallel, and two processes publishing one path race on its temp file.
 const std::string& shared_store() {
-  static const std::string path = [] {
-    std::string p = store_path("shared.gmst");
+  struct Store {
+    std::string path;
+    ~Store() { std::remove(path.c_str()); }
+  };
+  static const Store store = [] {
+    std::string p = store_path("shared-" + std::to_string(::getpid()) + ".gmst");
     store::StudyMeta meta;
     meta.seed = 23;
     store::WriteResult written = store::Writer(meta).write(p, shared_study().analyses);
     EXPECT_TRUE(written.ok()) << written.error.to_string();
-    return p;
+    return Store{p};
   }();
-  return path;
+  return store.path;
 }
 
 std::string read_bytes(const std::string& path) {

@@ -4,11 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <string>
 
 #include "trackers/org_db.h"
 #include "util/rng.h"
+#include "util/strings.h"
 #include "web/psl.h"
 #include "web/url.h"
 #include "worldgen/calibration.h"
@@ -46,6 +48,55 @@ uint64_t world_digest(const World& w) {
     field("end-government");
   }
   field(std::to_string(w.topology.node_count()));
+  return util::fnv1a(bytes);
+}
+
+// FNV-1a over the hosting fabric worldgen builds: every topology node (kind,
+// name, country, city, ASN, address) with its PTR record and its IPmap
+// claim, then the steered answers (per client country, then the default)
+// of every host a site resource names, in first-use order. Fields end in a
+// NUL like world_digest's.
+uint64_t fabric_digest(const World& w) {
+  std::string bytes;
+  auto field = [&bytes](std::string_view s) {
+    bytes.append(s);
+    bytes.push_back('\0');
+  };
+  for (size_t i = 0; i < w.topology.node_count(); ++i) {
+    const net::Node& node = w.topology.node(static_cast<net::NodeId>(i));
+    field(std::to_string(static_cast<int>(node.kind)));
+    field(node.name);
+    field(node.country);
+    field(node.city);
+    field(std::to_string(node.asn));
+    field(std::to_string(node.ip));
+    std::optional<std::string> ptr = w.zones.find_ptr(node.ip);
+    field(ptr ? "ptr " + *ptr : "no-ptr");
+    if (std::optional<ipmap::GeoRecord> claim = w.geodb.lookup(node.ip)) {
+      field(claim->country);
+      field(claim->city);
+      field(util::format("%.17g %.17g", claim->coord.lat, claim->coord.lon));
+    } else {
+      field("no-claim");
+    }
+  }
+  std::set<std::string> hosts;
+  for (const web::Website& site : w.universe.sites()) {
+    for (const web::Resource& r : site.resources) {
+      std::string host = web::host_of(r.url);
+      if (!hosts.insert(host).second) continue;
+      field(host);
+      if (const dns::SteeredRecord* steered = w.zones.find_steered(host)) {
+        for (const auto& [country, ips] : steered->per_country) {
+          field(country);
+          for (net::IPv4 ip : ips) field(std::to_string(ip));
+        }
+        field("default");
+        for (net::IPv4 ip : steered->default_ips) field(std::to_string(ip));
+      }
+      field("end-host");
+    }
+  }
   return util::fnv1a(bytes);
 }
 
@@ -259,6 +310,15 @@ TEST_F(WorldFixture, UniverseDigestIsPinned) {
   EXPECT_EQ(world_digest(*world_), 0x3a110142ba2c45f6ULL);
   EXPECT_EQ(world_digest(*generate_world({.scale_countries = 3, .scale_sites = 30})),
             0x66cf6c909941e1e7ULL);
+}
+
+TEST_F(WorldFixture, FabricDigestIsPinned) {
+  // The tracker fabric's bytes, pinned: node ids, names and addresses,
+  // PTRs, IPmap claims and GeoDNS answers. UniverseDigestIsPinned counts
+  // the fabric's nodes; this pins what they are and how they answer.
+  EXPECT_EQ(fabric_digest(*world_), 0x773793721ad7839cULL);
+  EXPECT_EQ(fabric_digest(*generate_world({.scale_countries = 3, .scale_sites = 30})),
+            0x58a2b9d2d660a070ULL);
 }
 
 TEST_F(WorldFixture, GovernmentSitesAvoidUsHostedTrackersOutsideUae) {

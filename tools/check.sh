@@ -28,8 +28,10 @@
 #           `gamma top --once --json` must emit a parseable sample
 #   hostile an unknown --country, a non-numeric --jobs, a policy report
 #           over a store of codes this process does not know, a suffixed
-#           --limit and a NaN --rate must each fail with a structured error
-#           (exit nonzero, below 128), never a signal
+#           --limit, a NaN --rate and an --out path under a regular file
+#           must each fail with a structured error (exit nonzero, below
+#           128), never a signal; a port file holding "1abc" must exit 2;
+#           `gamma run --out` into a missing directory must create it
 #
 # Sanitizers:
 #   tsan  -> shared-state suites (thread pool, parallel study runner,
@@ -458,6 +460,25 @@ arm_hostile() {
   # bug cannot leave a daemon behind.
   refused store query "$SMOKE/hostile/scale.gmst" --report funnel --limit 12abc
   refused store query "$SMOKE/hostile/scale.gmst" --report funnel --rate nan
+  # A port file parses as strictly as --port: "1abc" is a usage error
+  # (exit 2), never a dial to port 1 (exit 1, which `refused` would accept).
+  printf '1abc\n' > "$SMOKE/hostile/port"
+  local rc=0
+  "$GAMMA" client ping --port-file "$SMOKE/hostile/port" >/dev/null \
+    2>"$SMOKE/hostile/err" || rc=$?
+  if [[ $rc -ne 2 ]]; then
+    echo "   ERROR: a port file holding '1abc' exited $rc, want 2:" >&2
+    sed 's/^/   | /' "$SMOKE/hostile/err" >&2
+    return 1
+  fi
+  echo "   port file '1abc' -> exit 2: $(head -1 "$SMOKE/hostile/err")"
+  # --out DIR is created before any work: a path under a regular file is
+  # refused up front, and a missing directory is made.
+  : > "$SMOKE/hostile/file"
+  refused run --country NZ --out "$SMOKE/hostile/file/dir"
+  "$GAMMA" run --country NZ --out "$SMOKE/new/dir" >/dev/null
+  test -s "$SMOKE/new/dir/dataset-NZ.json"
+  echo "   run --out into a missing directory wrote dataset-NZ.json"
 }
 
 echo "== tier-1: configure + build =="
@@ -474,7 +495,7 @@ run_arm "serve smoke: daemon up, client query, SIGTERM drain" arm_serve
 run_arm "chaos smoke: SIGKILL + restart under retry-armed client load" arm_chaos
 run_arm "shard smoke: kill mid-run, resume, merge, byte-diff all reports" arm_shard
 run_arm "pulse smoke: slow-log at --slow-ms 0, study_status to done, gamma top" arm_pulse
-run_arm "hostile smoke: bad country, bad numeric flags, foreign policy query exit cleanly" arm_hostile
+run_arm "hostile smoke: bad country, bad numeric flags, bad port file, foreign policy query exit cleanly; --out dirs made up front" arm_hostile
 
 finish() {
   if [[ ${#FAILURES[@]} -gt 0 ]]; then

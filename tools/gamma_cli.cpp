@@ -25,6 +25,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <limits>
@@ -487,6 +488,17 @@ bool parse_args(int argc, char** argv, Args& args) {
   return true;
 }
 
+// Create the --out directory (and its parents) before any work, so a run
+// never generates a world and measures it only to fail on its first write.
+bool make_out_dir(const char* cmd, const std::string& dir) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (!ec && std::filesystem::is_directory(dir, ec)) return true;
+  std::fprintf(stderr, "%s: cannot create --out directory %s: %s\n", cmd, dir.c_str(),
+               ec ? ec.message().c_str() : "not a directory");
+  return false;
+}
+
 bool write_file(const std::string& path, const std::string& content) {
   // Durable publish (util::io): checked writes, fsync, rename, dir fsync.
   // The status message already names the failing step and strerror(errno).
@@ -537,6 +549,7 @@ int cmd_run(const Args& args) {
     std::fprintf(stderr, "run: need exactly one --country from the 23 measured\n");
     return 1;
   }
+  if (!args.out.empty() && !make_out_dir("run", args.out)) return 1;
   auto world = worldgen::generate_world({});
   worldgen::StudyOptions options;
   options.countries = args.countries;
@@ -628,10 +641,14 @@ int cmd_study(const Args& args) {
     std::fprintf(stderr, "study: --sites requires --countries N\n");
     return 1;
   }
-  worldgen::WorldConfig wcfg;
-  wcfg.scale_countries = args.scale_countries;
-  wcfg.scale_sites = args.scale_sites;
-  auto world = worldgen::generate_world(wcfg);
+  if (args.resume && args.checkpoint.empty()) {
+    std::fprintf(stderr, "study: --resume requires --checkpoint DIR\n");
+    return 1;
+  }
+  // Sharded studies write no --out datasets (see below).
+  if (!args.out.empty() && args.shard_dir.empty() && !make_out_dir("study", args.out)) {
+    return 1;
+  }
   worldgen::StudyOptions options;
   options.countries = args.countries;
   options.seed = args.seed;
@@ -649,10 +666,10 @@ int cmd_study(const Args& args) {
   options.checkpoint_dir = args.checkpoint;
   options.resume = args.resume;
   options.store_out = args.store_out;
-  if (args.resume && args.checkpoint.empty()) {
-    std::fprintf(stderr, "study: --resume requires --checkpoint DIR\n");
-    return 1;
-  }
+  worldgen::WorldConfig wcfg;
+  wcfg.scale_countries = args.scale_countries;
+  wcfg.scale_sites = args.scale_sites;
+  auto world = worldgen::generate_world(wcfg);
   // Tracing covers the study itself, not world generation: spans start at
   // the first per-country root, and the files are written right after the
   // run so a later failure in the report path cannot lose them.
@@ -982,7 +999,8 @@ int cmd_serve(const Args& args) {
 // covers calls on an established client; the very first dial can race a
 // daemon restart too, so it gets the same bounded backoff when --retry is
 // armed. Returns nullptr after printing the failure, with `rc` set to the
-// exit code: 2 for a malformed GAMMA_SERVE_PORT, 1 for any other failure.
+// exit code: 2 for a malformed --port-file or GAMMA_SERVE_PORT, 1 for any
+// other failure.
 std::unique_ptr<serve::Client> dial_client(const Args& args, int& rc) {
   rc = 1;
   util::RetryPolicy retry_policy;
@@ -1014,12 +1032,26 @@ std::unique_ptr<serve::Client> dial_client(const Args& args, int& rc) {
   } else {
     int port = args.port;
     if (port < 0 && !args.port_file.empty()) {
-      std::ifstream in(args.port_file);
-      if (!(in >> port)) {
+      // As strict as --port: the file holds one port in [1, 65535], as
+      // `gamma serve --port-file` writes it, and at most one trailing newline.
+      std::ifstream in(args.port_file, std::ios::binary);
+      if (!in) {
         std::fprintf(stderr, "client: cannot read a port from %s\n",
                      args.port_file.c_str());
         return nullptr;
       }
+      std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+      if (!text.empty() && text.back() == '\n') text.pop_back();
+      std::optional<size_t> n = text.find('\0') == std::string::npos
+                                    ? parse_count(text.c_str(), 1, kMaxPort)
+                                    : std::nullopt;
+      if (!n) {
+        std::fprintf(stderr, "client: --port-file %s does not hold a port in [1, %zu]\n",
+                     args.port_file.c_str(), kMaxPort);
+        rc = 2;
+        return nullptr;
+      }
+      port = static_cast<int>(*n);
     }
     if (port < 0 && !read_env_port(port)) {
       rc = 2;
