@@ -58,7 +58,7 @@ void BM_StudyFaults(benchmark::State& state) {
       state.SetLabel("hostile");
       break;
   }
-  // Warm the shared route cache so every arm measures steady state.
+  // One warm-up study so every arm measures steady state.
   {
     worldgen::StudyResult warmup = worldgen::run_study(world, options);
     benchmark::DoNotOptimize(warmup.analyses.size());

@@ -181,9 +181,8 @@ BENCHMARK(BM_FullStudy)->Unit(benchmark::kMillisecond)->Iterations(3);
 // jobs=1 to jobs=4; the determinism contract guarantees identical output,
 // so this measures pure scheduling win.
 void BM_StudyJobs(benchmark::State& state) {
-  // Mutable-ref world: run_study only reads it, and the route cache is
-  // internally locked, so sharing across iterations is safe and keeps the
-  // cache warm (both arms benefit equally).
+  // Mutable-ref world: run_study only reads it, so sharing it across
+  // iterations is safe (both arms see the same world).
   auto& world = const_cast<worldgen::World&>(shared_world());
   worldgen::StudyOptions options;
   options.jobs = static_cast<size_t>(state.range(0));
@@ -193,8 +192,8 @@ void BM_StudyJobs(benchmark::State& state) {
   const bool metrics_on = state.range(1) != 0;
   util::MetricsRegistry::set_enabled(metrics_on);
   state.SetLabel(metrics_on ? "metrics_on" : "metrics_off");
-  // Warm the shared route cache so every arm measures steady state rather
-  // than the first arm paying all the one-time Dijkstra costs.
+  // One warm-up study so every arm measures steady state rather than the
+  // first arm paying every one-time set-up cost.
   {
     worldgen::StudyResult warmup = worldgen::run_study(world, options);
     benchmark::DoNotOptimize(warmup.analyses.size());

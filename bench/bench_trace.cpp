@@ -37,7 +37,7 @@ void BM_StudyTrace(benchmark::State& state) {
   const bool tracing = state.range(1) != 0;
   state.SetLabel(std::string(tracing ? "trace_on" : "trace_off") + "/jobs" +
                  std::to_string(state.range(0)));
-  // Warm the shared route cache so every arm measures steady state.
+  // One warm-up study so every arm measures steady state.
   {
     worldgen::StudyResult warmup = worldgen::run_study(world, options);
     benchmark::DoNotOptimize(warmup.analyses.size());

@@ -11,7 +11,7 @@
 // Determinism contract (see DESIGN.md): tasks must draw randomness only from
 // util::Rng::substream(study_seed, name) streams keyed by their own country,
 // and must touch shared state only through const, thread-safe reads (e.g.
-// net::Topology's locked route cache). Under that contract the runner
+// the frozen net::Topology's route trees). Under that contract the runner
 // guarantees byte-identical output for any `jobs` value.
 #pragma once
 

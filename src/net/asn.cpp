@@ -7,18 +7,6 @@
 
 namespace gam::net {
 
-std::string as_kind_name(AsKind k) {
-  switch (k) {
-    case AsKind::ResidentialIsp: return "residential-isp";
-    case AsKind::Transit: return "transit";
-    case AsKind::Cloud: return "cloud";
-    case AsKind::Content: return "content";
-    case AsKind::Government: return "government";
-    case AsKind::Ixp: return "ixp";
-  }
-  return "?";
-}
-
 uint32_t AsRegistry::add(AsInfo info) {
   if (info.asn == 0 || as_.count(info.asn)) {
     util::log_error("net", "duplicate or zero ASN: " + std::to_string(info.asn));

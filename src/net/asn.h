@@ -21,8 +21,6 @@ namespace gam::net {
 
 enum class AsKind { ResidentialIsp, Transit, Cloud, Content, Government, Ixp };
 
-std::string as_kind_name(AsKind k);
-
 struct AsInfo {
   uint32_t asn = 0;
   std::string name;     // "AS-EXAMPLENET"
@@ -58,7 +56,6 @@ class AsRegistry {
 
   const AsInfo* find(uint32_t asn) const;
   const std::map<uint32_t, AsInfo>& all() const { return as_; }
-  const std::vector<std::pair<Prefix, uint32_t>>& announcements() const { return routes_; }
 
  private:
   std::map<uint32_t, AsInfo> as_;

@@ -1,8 +1,8 @@
 #include "net/topology.h"
 
 #include <algorithm>
-#include <mutex>
 #include <queue>
+#include <stdexcept>
 
 #include "util/metrics.h"
 
@@ -10,6 +10,7 @@ namespace gam::net {
 
 NodeId Topology::add_node(NodeKind kind, std::string name, std::string country,
                           std::string city, geo::Coord coord, uint32_t asn, IPv4 ip) {
+  require_frozen(false);
   Node n;
   n.id = static_cast<NodeId>(nodes_.size());
   n.kind = kind;
@@ -22,7 +23,6 @@ NodeId Topology::add_node(NodeKind kind, std::string name, std::string country,
   if (ip != 0) by_ip_[ip] = n.id;
   nodes_.push_back(std::move(n));
   adj_.emplace_back();
-  if (route_memo_used_.load()) invalidate_routes();
   return nodes_.back().id;
 }
 
@@ -33,28 +33,67 @@ void Topology::add_link(NodeId a, NodeId b, double inflation) {
 }
 
 void Topology::add_link_latency(NodeId a, NodeId b, double one_way_ms) {
+  require_frozen(false);
   adj_[a].push_back({b, one_way_ms});
   adj_[b].push_back({a, one_way_ms});
-  if (route_memo_used_.load()) invalidate_routes();
 }
 
-std::shared_ptr<const Topology::SourceTree> Topology::compute_tree(NodeId from) const {
-  auto tree = std::make_shared<SourceTree>();
-  tree->dist.assign(nodes_.size(), std::numeric_limits<double>::infinity());
-  tree->prev.assign(nodes_.size(), kInvalidNode);
-  using Entry = std::pair<double, NodeId>;
+void Topology::require_frozen(bool frozen) const {
+  if (frozen_ == frozen) return;
+  throw std::logic_error(frozen ? "net::Topology: route query before freeze()"
+                                : "net::Topology: mutated after freeze()");
+}
+
+void Topology::freeze() {
+  require_frozen(false);
+  core_slot_.assign(nodes_.size(), kLeaf);
+  for (NodeId id = 0; id < nodes_.size(); ++id) {
+    if (adj_[id].size() == 1 && adj_[adj_[id][0].first].size() > 1) continue;
+    core_slot_[id] = static_cast<uint32_t>(core_nodes_.size());
+    core_nodes_.push_back(id);
+  }
+  for (NodeId id : core_nodes_) {
+    core_adj_.emplace_back();
+    for (auto [v, w] : adj_[id]) {
+      if (core_slot_[v] != kLeaf) core_adj_.back().push_back({core_slot_[v], w});
+    }
+  }
+  for (const Node& n : nodes_) {
+    if (n.kind == NodeKind::Client) trees_.emplace(n.id, compute_tree(n.id));
+  }
+  frozen_ = true;
+}
+
+Topology::SourceTree Topology::compute_tree(NodeId from) const {
+  static util::Counter& built =
+      util::MetricsRegistry::instance().counter("net.route_cache.misses");
+  built.inc();
+  SourceTree tree;
+  tree.dist.assign(core_nodes_.size(), std::numeric_limits<double>::infinity());
+  tree.prev.assign(core_nodes_.size(), kInvalidNode);
+  // A leaf source's first hop is its one link, and nothing routes back
+  // through it: its tree is its neighbour's, seeded at that link's latency.
+  uint32_t root = core_slot_[from];
+  double root_ms = 0.0;
+  if (root == kLeaf) {
+    auto [next, w] = adj_[from][0];
+    root = core_slot_[next];
+    root_ms = w;
+    tree.prev[root] = from;
+  }
+  using Entry = std::pair<double, uint32_t>;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pq;
-  tree->dist[from] = 0.0;
-  pq.push({0.0, from});
+  tree.dist[root] = root_ms;
+  pq.push({root_ms, root});
   while (!pq.empty()) {
     auto [d, u] = pq.top();
     pq.pop();
-    if (d > tree->dist[u]) continue;
-    for (auto [v, w] : adj_[u]) {
+    if (d > tree.dist[u]) continue;
+    for (auto [v, w] : core_adj_[u]) {
       double nd = d + w;
-      if (nd < tree->dist[v]) {
-        tree->dist[v] = nd;
-        tree->prev[v] = u;
+      if (nd < tree.dist[v]) {
+        tree.dist[v] = nd;
+        tree.prev[v] = core_nodes_[u];
         pq.push({nd, v});
       }
     }
@@ -62,56 +101,51 @@ std::shared_ptr<const Topology::SourceTree> Topology::compute_tree(NodeId from) 
   return tree;
 }
 
-std::shared_ptr<const Topology::SourceTree> Topology::tree_for(NodeId from) const {
+const Topology::SourceTree& Topology::tree_for(NodeId from, SourceTree& one_off) const {
   static util::Counter& hits =
       util::MetricsRegistry::instance().counter("net.route_cache.hits");
-  static util::Counter& misses =
-      util::MetricsRegistry::instance().counter("net.route_cache.misses");
-  RouteShard& shard = route_shards_[from % kRouteShards];
-  {
-    std::shared_lock lock(shard.mu);
-    auto it = shard.trees.find(from);
-    if (it != shard.trees.end()) {
-      hits.inc();
-      return it->second;
-    }
-  }
-  misses.inc();
-  // Miss: run Dijkstra outside any lock. Two threads may race to compute the
-  // same source tree; both results are identical and the first insert wins,
-  // which wastes a little work but never blocks readers on a graph walk.
-  std::shared_ptr<const SourceTree> tree = compute_tree(from);
-  std::unique_lock lock(shard.mu);
-  auto inserted = shard.trees.try_emplace(from, std::move(tree)).first;
-  route_memo_used_.store(true);
-  return inserted->second;
+  auto it = trees_.find(from);
+  if (it == trees_.end()) return one_off = compute_tree(from);
+  hits.inc();
+  return it->second;
+}
+
+double Topology::dist_to(const SourceTree& tree, NodeId from, NodeId to) const {
+  if (to == from) return 0.0;
+  uint32_t slot = core_slot_[to];
+  if (slot != kLeaf) return tree.dist[slot];
+  auto [next, w] = adj_[to][0];
+  return tree.dist[core_slot_[next]] + w;
 }
 
 std::optional<Path> Topology::shortest_path(NodeId from, NodeId to) const {
+  require_frozen(true);
   if (from >= nodes_.size() || to >= nodes_.size()) return std::nullopt;
-  std::shared_ptr<const SourceTree> tree = tree_for(from);
-  if (tree->dist[to] == std::numeric_limits<double>::infinity()) return std::nullopt;
+  SourceTree one_off;
+  const SourceTree& tree = tree_for(from, one_off);
   Path p;
-  p.one_way_ms = tree->dist[to];
-  for (NodeId cur = to; cur != kInvalidNode; cur = tree->prev[cur]) {
+  p.one_way_ms = dist_to(tree, from, to);
+  if (p.one_way_ms == std::numeric_limits<double>::infinity()) return std::nullopt;
+  // Per-hop cumulative latency comes straight off the source tree, so a
+  // caller walking the path hop by hop (traceroute) needs no query per hop.
+  // Only a path's two ends can be leaves.
+  for (NodeId cur = to;;) {
     p.nodes.push_back(cur);
+    p.cum_ms.push_back(dist_to(tree, from, cur));
     if (cur == from) break;
+    cur = core_slot_[cur] == kLeaf ? adj_[cur][0].first : tree.prev[core_slot_[cur]];
   }
   std::reverse(p.nodes.begin(), p.nodes.end());
-  // Per-hop cumulative latency comes straight off the source tree. Callers
-  // that walk the path hop-by-hop (traceroute) must read these rather than
-  // query latency_ms(prev, hop): a per-hop query would root a full Dijkstra
-  // tree at every interior router it touches, and those memoized trees are
-  // what used to dominate study RSS at scale.
-  p.cum_ms.reserve(p.nodes.size());
-  for (NodeId id : p.nodes) p.cum_ms.push_back(tree->dist[id]);
+  std::reverse(p.cum_ms.begin(), p.cum_ms.end());
   return p;
 }
 
 double Topology::latency_ms(NodeId from, NodeId to) const {
+  require_frozen(true);
   if (from >= nodes_.size() || to >= nodes_.size())
     return std::numeric_limits<double>::infinity();
-  return tree_for(from)->dist[to];
+  SourceTree one_off;
+  return dist_to(tree_for(from, one_off), from, to);
 }
 
 NodeId Topology::find_by_ip(IPv4 ip) const {
@@ -125,23 +159,6 @@ std::vector<NodeId> Topology::nodes_of_kind(NodeKind kind) const {
     if (n.kind == kind) out.push_back(n.id);
   }
   return out;
-}
-
-void Topology::invalidate_routes() const {
-  route_memo_used_.store(false);
-  for (RouteShard& shard : route_shards_) {
-    std::unique_lock lock(shard.mu);
-    shard.trees.clear();
-  }
-}
-
-size_t Topology::route_cache_size() const {
-  size_t total = 0;
-  for (RouteShard& shard : route_shards_) {
-    std::shared_lock lock(shard.mu);
-    total += shard.trees.size();
-  }
-  return total;
 }
 
 }  // namespace gam::net

@@ -11,13 +11,9 @@
 // precisely the signal the multi-constraint pipeline looks for.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -62,9 +58,7 @@ class Topology {
 
   /// Add a node; returns its id. If `ip` is non-zero the node becomes
   /// addressable (find_by_ip / traceroute destination). Like the link
-  /// mutators, it drops the route memo when the memo holds a tree, so a
-  /// query after any mutation sees the new graph; building a graph before
-  /// its first query touches no memo lock.
+  /// mutators, it throws std::logic_error once the topology is frozen.
   NodeId add_node(NodeKind kind, std::string name, std::string country, std::string city,
                   geo::Coord coord, uint32_t asn, IPv4 ip = 0);
 
@@ -75,16 +69,23 @@ class Topology {
   /// Link with an explicit one-way latency (last-mile links, IXP fabrics).
   void add_link_latency(NodeId a, NodeId b, double one_way_ms);
 
+  /// End construction: the topology becomes immutable, and routes can be
+  /// queried from any number of threads without a lock. Splits the graph
+  /// into leaves (one link, to a node with more) and a core (every other
+  /// node), then builds one core-only Dijkstra tree per Client node: every
+  /// volunteer and Atlas probe. Throws std::logic_error if already frozen.
+  void freeze();
+
   const Node& node(NodeId id) const { return nodes_[id]; }
   size_t node_count() const { return nodes_.size(); }
 
-  /// Dijkstra shortest path by latency. nullopt if disconnected.
-  /// Results are memoized per source node (single-source tree); the memo is
-  /// sharded and reader/writer-locked, so concurrent queries from any number
-  /// of threads are safe (parallel study sessions share one Topology).
+  /// Dijkstra shortest path by latency. nullopt if disconnected. A source
+  /// with no frozen tree gets one built for this call alone. Throws
+  /// std::logic_error before freeze().
   std::optional<Path> shortest_path(NodeId from, NodeId to) const;
 
-  /// One-way latency of the shortest path, or +inf if disconnected.
+  /// One-way latency of the shortest path, or +inf if disconnected. Throws
+  /// std::logic_error before freeze().
   double latency_ms(NodeId from, NodeId to) const;
 
   NodeId find_by_ip(IPv4 ip) const;
@@ -92,41 +93,37 @@ class Topology {
   /// All node ids of a given kind (used by probe/Atlas placement).
   std::vector<NodeId> nodes_of_kind(NodeKind kind) const;
 
-  /// Drop all memoized routing state (call after mutating the graph).
-  /// Safe to call between phases while other threads hold trees returned by
-  /// earlier queries: cached trees are shared_ptr-owned, so in-flight readers
-  /// keep theirs alive and only the memo entries are dropped.
-  void invalidate_routes() const;
-
-  /// Number of memoized source trees across all shards (observability/tests).
-  size_t route_cache_size() const;
+  /// Number of source trees freeze() built (observability/tests).
+  size_t route_cache_size() const { return trees_.size(); }
 
  private:
+  /// Shortest-path distances and predecessors over the core, by core slot.
+  /// A leaf's distance is its neighbour's plus its link: the same sum a
+  /// Dijkstra over every node forms, so routes are bit-identical to one.
   struct SourceTree {
     std::vector<double> dist;
     std::vector<NodeId> prev;
   };
-  /// The memoized Dijkstra tree rooted at `from`, computing it on miss.
-  /// Thread-safe; the returned tree is immutable and outlives invalidation.
-  std::shared_ptr<const SourceTree> tree_for(NodeId from) const;
-  std::shared_ptr<const SourceTree> compute_tree(NodeId from) const;
+  static constexpr uint32_t kLeaf = std::numeric_limits<uint32_t>::max();
+
+  void require_frozen(bool frozen) const;
+  SourceTree compute_tree(NodeId from) const;
+  /// The frozen tree rooted at `from`, or one built into `one_off`.
+  const SourceTree& tree_for(NodeId from, SourceTree& one_off) const;
+  double dist_to(const SourceTree& tree, NodeId from, NodeId to) const;
 
   std::vector<Node> nodes_;
   std::vector<std::vector<std::pair<NodeId, double>>> adj_;
   std::unordered_map<IPv4, NodeId> by_ip_;
 
-  // Route memo, sharded by source node to keep writer contention off the
-  // read-mostly fast path. Each shard is independently reader/writer locked.
-  static constexpr size_t kRouteShards = 16;
-  struct RouteShard {
-    mutable std::shared_mutex mu;
-    std::unordered_map<NodeId, std::shared_ptr<const SourceTree>> trees;
-  };
-  mutable std::array<RouteShard, kRouteShards> route_shards_;
-  // True whenever some shard may hold a tree: set under the shard lock after
-  // an insert, cleared by invalidate_routes() before it clears the shards,
-  // so a memo that holds a tree never reads false.
-  mutable std::atomic<bool> route_memo_used_{false};
+  // Set by freeze(): each node's core slot (kLeaf for a leaf), the core's
+  // nodes and links by slot, in node-id order so Dijkstra's (latency, slot)
+  // queue breaks ties as a (latency, node id) queue does, and the trees.
+  bool frozen_ = false;
+  std::vector<uint32_t> core_slot_;
+  std::vector<NodeId> core_nodes_;
+  std::vector<std::vector<std::pair<uint32_t, double>>> core_adj_;
+  std::unordered_map<NodeId, SourceTree> trees_;
 };
 
 }  // namespace gam::net

@@ -99,9 +99,9 @@ TracerouteResult TracerouteEngine::trace_impl(net::NodeId from, net::IPv4 dest,
   bool dest_silent = rng.chance(opts.dest_noresponse_prob);
 
   // Hop 0 is the source itself; TTL probing starts at the first router.
-  // Cumulative latency is read off the already-computed source tree
-  // (path->cum_ms); querying latency_ms(prev, hop) here would memoize a
-  // Dijkstra tree rooted at every interior router on the path.
+  // Cumulative latency is read off the source's frozen tree (path->cum_ms);
+  // querying latency_ms(prev, hop) here would build a one-off Dijkstra tree
+  // rooted at every interior router on the path.
   double cumulative_ms = 0.0;
   for (size_t i = 1; i < path->nodes.size(); ++i) {
     net::NodeId hop_node = path->nodes[i];

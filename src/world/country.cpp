@@ -111,10 +111,6 @@ std::string CountryDb::synthetic_code(size_t index) {
   return code;
 }
 
-size_t CountryDb::synthetic_count() {
-  return g_synthetic_count.load(std::memory_order_acquire);
-}
-
 const CountryInfo& CountryDb::at(std::string_view code) const {
   const CountryInfo* c = find(code);
   if (!c) {

@@ -74,8 +74,6 @@ class CountryDb {
   /// call before worker threads start (worldgen does, during build).
   static void ensure_synthetic(size_t count);
   static std::string synthetic_code(size_t index);
-  /// Synthetic countries registered so far (for tests/diagnostics).
-  static size_t synthetic_count();
 
  private:
   CountryDb();

@@ -44,6 +44,7 @@ std::unique_ptr<World> generate_world(const WorldConfig& cfg) {
   internal::build_infrastructure(b);
   internal::build_trackers(b);
   internal::build_web(b);
+  w->topology.freeze();
 
   // ---- Published latency tables (independent noise stream). ----
   w->reference = geoloc::ReferenceLatency::generate(b.rng.fork("reference"));

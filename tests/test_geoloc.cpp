@@ -146,7 +146,7 @@ struct PipelineFixture : ::testing::Test {
     atlas_.add_probe(topo_, topo_.add_node(net::NodeKind::Client, "p-nl", "NL", "Amsterdam",
                                            amsterdam, 3, 0x0A0000F2));
     topo_.add_link_latency(r_nl, topo_.find_by_ip(0x0A0000F2), 1.0);
-    topo_.invalidate_routes();
+    topo_.freeze();
 
     geodb_.set_location(srv_dubai_, {"AE", "Dubai", dubai});
     geodb_.set_location(srv_ams_, {"NL", "Amsterdam", amsterdam});

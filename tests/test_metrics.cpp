@@ -282,11 +282,11 @@ class MetricsStudyTest : public ::testing::Test {
   }
 
   // Counters whose values are part of the determinism contract: everything
-  // derived from the study's (deterministic) measurement stream. Cache
-  // hit/miss counts and wall-time histograms are scheduling-dependent and
-  // deliberately excluded.
+  // derived from the study's (deterministic) measurement stream, route trees
+  // and route queries included. Wall-time histograms are scheduling-dependent
+  // and deliberately excluded.
   static bool deterministic_counter(const std::string& name) {
-    return name.rfind("net.route_cache.", 0) != 0 && name.rfind("test.", 0) != 0;
+    return name.rfind("test.", 0) != 0;
   }
 };
 

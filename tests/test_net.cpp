@@ -3,6 +3,8 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "net/asn.h"
@@ -143,6 +145,7 @@ TEST(Topology, ShortestPathDirect) {
   NodeId a = topo.add_node(NodeKind::Router, "a", "FR", "Paris", kParis, 1, 0x0A000001);
   NodeId b = topo.add_node(NodeKind::Router, "b", "DE", "Frankfurt", kFrankfurt, 2, 0x0A000002);
   topo.add_link(a, b);
+  topo.freeze();
   auto path = topo.shortest_path(a, b);
   ASSERT_TRUE(path.has_value());
   EXPECT_EQ(path->nodes.size(), 2u);
@@ -160,6 +163,7 @@ TEST(Topology, PicksShorterOfTwoRoutes) {
   topo.add_link_latency(a, b, 100.0);  // slow direct
   topo.add_link_latency(a, c, 10.0);
   topo.add_link_latency(c, b, 10.0);  // fast detour
+  topo.freeze();
   auto path = topo.shortest_path(a, b);
   ASSERT_TRUE(path.has_value());
   EXPECT_EQ(path->nodes.size(), 3u);
@@ -170,6 +174,7 @@ TEST(Topology, DisconnectedIsNullopt) {
   Topology topo;
   NodeId a = topo.add_node(NodeKind::Router, "a", "FR", "Paris", kParis, 1, 1);
   NodeId b = topo.add_node(NodeKind::Router, "b", "DE", "Frankfurt", kFrankfurt, 1, 2);
+  topo.freeze();
   EXPECT_FALSE(topo.shortest_path(a, b).has_value());
   EXPECT_TRUE(std::isinf(topo.latency_ms(a, b)));
 }
@@ -181,6 +186,7 @@ TEST(Topology, LatencySymmetric) {
   NodeId c = topo.add_node(NodeKind::Router, "c", "US", "NYC", kNYC, 1, 3);
   topo.add_link(a, b);
   topo.add_link(b, c);
+  topo.freeze();
   EXPECT_DOUBLE_EQ(topo.latency_ms(a, c), topo.latency_ms(c, a));
 }
 
@@ -200,41 +206,147 @@ TEST(Topology, NodesOfKind) {
   EXPECT_EQ(topo.nodes_of_kind(NodeKind::Router).size(), 1u);
 }
 
-TEST(Topology, RouteCacheInvalidatedOnMutation) {
-  // A query after any mutation sees the mutated graph: each mutator drops
-  // the memo when it holds a tree, and the next query refills it.
+TEST(Topology, FreezeContract) {
+  // Routes exist only on a frozen graph, and a frozen graph never changes:
+  // freeze() builds one tree per Client, and a query from any other source
+  // builds its tree for that call alone.
   Topology topo;
-  NodeId a = topo.add_node(NodeKind::Router, "a", "FR", "Paris", kParis, 1, 1);
-  NodeId b = topo.add_node(NodeKind::Router, "b", "DE", "Frankfurt", kFrankfurt, 1, 2);
-  topo.add_link_latency(a, b, 50.0);
-  EXPECT_EQ(topo.route_cache_size(), 0u);
-  EXPECT_DOUBLE_EQ(topo.latency_ms(a, b), 50.0);  // warms the memo
-  EXPECT_EQ(topo.route_cache_size(), 1u);
+  NodeId r = topo.add_node(NodeKind::Router, "r", "FR", "Paris", kParis, 1, 1);
+  NodeId c = topo.add_node(NodeKind::Client, "c", "FR", "Paris", kParis, 1, 2);
+  NodeId s = topo.add_node(NodeKind::Server, "s", "DE", "Frankfurt", kFrankfurt, 2, 3);
+  topo.add_link_latency(r, c, 2.0);
+  topo.add_link_latency(r, s, 3.0);
+  EXPECT_THROW(topo.shortest_path(c, s), std::logic_error);
+  EXPECT_THROW(topo.latency_ms(c, s), std::logic_error);
 
-  // add_node alone: the new node is unreachable, and the tree memoized
-  // before it does not even have a slot for it.
-  NodeId c = topo.add_node(NodeKind::Router, "c", "US", "NYC", kNYC, 1, 3);
-  EXPECT_EQ(topo.route_cache_size(), 0u);
-  EXPECT_EQ(topo.latency_ms(a, c), std::numeric_limits<double>::infinity());
-  EXPECT_EQ(topo.route_cache_size(), 1u);
+  topo.freeze();
+  EXPECT_THROW(topo.add_node(NodeKind::Client, "x", "US", "NYC", kNYC, 1, 4), std::logic_error);
+  EXPECT_THROW(topo.add_link(r, s), std::logic_error);
+  EXPECT_THROW(topo.add_link_latency(c, s, 1.0), std::logic_error);
+  EXPECT_THROW(topo.freeze(), std::logic_error);
+  EXPECT_EQ(topo.node_count(), 3u);
+  EXPECT_EQ(topo.find_by_ip(4), kInvalidNode);
+  EXPECT_EQ(topo.route_cache_size(), topo.nodes_of_kind(NodeKind::Client).size());
 
-  // add_link: c becomes reachable at its geographic latency.
-  topo.add_link(a, c);
-  EXPECT_EQ(topo.route_cache_size(), 0u);
-  const double a_to_c = geo::haversine_km(kParis, kNYC) * Topology::kDefaultInflation /
-                            geo::kFiberKmPerMs +
-                        Topology::kHopProcessingMs;
-  EXPECT_DOUBLE_EQ(topo.latency_ms(a, c), a_to_c);
-  EXPECT_EQ(topo.route_cache_size(), 1u);
-
-  // add_link_latency: a -> c -> b undercuts the direct 50 ms link.
-  topo.add_link_latency(c, b, 1.0);
-  EXPECT_EQ(topo.route_cache_size(), 0u);
-  auto path = topo.shortest_path(a, b);
+  EXPECT_EQ(topo.latency_ms(c, s), 5.0);  // the refused 1 ms link is not there
+  EXPECT_EQ(topo.latency_ms(r, s), 3.0);  // a Router source: a one-off tree
+  auto path = topo.shortest_path(s, c);   // so is a Server source
   ASSERT_TRUE(path.has_value());
-  EXPECT_EQ(path->nodes, (std::vector<NodeId>{a, c, b}));
-  EXPECT_DOUBLE_EQ(path->one_way_ms, a_to_c + 1.0);
+  EXPECT_EQ(path->nodes, (std::vector<NodeId>{s, r, c}));
+  EXPECT_EQ(path->cum_ms, (std::vector<double>{0.0, 3.0, 5.0}));
   EXPECT_EQ(topo.route_cache_size(), 1u);
+}
+
+// Hand-checked routes over the leaf/core split. Link latencies are exact
+// binary fractions, so every expected sum is exact.
+
+TEST(Topology, TwoNodeComponentRoutesBothWays) {
+  // Each end has one link, to a node with one link: both are core.
+  Topology topo;
+  NodeId c = topo.add_node(NodeKind::Client, "c", "FR", "Paris", kParis, 1, 1);
+  NodeId r = topo.add_node(NodeKind::Router, "r", "DE", "Frankfurt", kFrankfurt, 1, 2);
+  topo.add_link_latency(c, r, 1.5);
+  topo.freeze();
+  EXPECT_EQ(topo.route_cache_size(), 1u);
+  for (auto [from, to] : {std::pair{c, r}, std::pair{r, c}}) {
+    auto path = topo.shortest_path(from, to);
+    ASSERT_TRUE(path.has_value());
+    EXPECT_EQ(path->nodes, (std::vector<NodeId>{from, to}));
+    EXPECT_EQ(path->cum_ms, (std::vector<double>{0.0, 1.5}));
+  }
+  EXPECT_EQ(topo.latency_ms(c, c), 0.0);
+}
+
+TEST(Topology, LeafSourceReachesSiblingLeafAndItsNeighbour) {
+  // c, s1 and s2 hang off r: three leaves, r the only core node.
+  Topology topo;
+  NodeId r = topo.add_node(NodeKind::Router, "r", "FR", "Paris", kParis, 1, 1);
+  NodeId c = topo.add_node(NodeKind::Client, "c", "FR", "Paris", kParis, 1, 2);
+  NodeId s1 = topo.add_node(NodeKind::Server, "s1", "FR", "Paris", kParis, 2, 3);
+  NodeId s2 = topo.add_node(NodeKind::Server, "s2", "FR", "Paris", kParis, 2, 4);
+  topo.add_link_latency(r, c, 2.0);
+  topo.add_link_latency(r, s1, 0.25);
+  topo.add_link_latency(s2, r, 4.0);
+  topo.freeze();
+  auto to_sibling = topo.shortest_path(c, s1);
+  ASSERT_TRUE(to_sibling.has_value());
+  EXPECT_EQ(to_sibling->nodes, (std::vector<NodeId>{c, r, s1}));
+  EXPECT_EQ(to_sibling->cum_ms, (std::vector<double>{0.0, 2.0, 2.25}));
+  EXPECT_EQ(to_sibling->one_way_ms, 2.25);
+  auto to_neighbour = topo.shortest_path(c, r);
+  ASSERT_TRUE(to_neighbour.has_value());
+  EXPECT_EQ(to_neighbour->nodes, (std::vector<NodeId>{c, r}));
+  EXPECT_EQ(to_neighbour->cum_ms, (std::vector<double>{0.0, 2.0}));
+  EXPECT_EQ(topo.latency_ms(c, s2), 6.0);
+  auto to_self = topo.shortest_path(c, c);
+  ASSERT_TRUE(to_self.has_value());
+  EXPECT_EQ(to_self->nodes, (std::vector<NodeId>{c}));
+  EXPECT_EQ(to_self->one_way_ms, 0.0);
+}
+
+TEST(Topology, ClientWithTwoLinksIsACoreSource) {
+  // m is multihomed to r1 (slow) and r2 (fast); s hangs off r1.
+  Topology topo;
+  NodeId m = topo.add_node(NodeKind::Client, "m", "FR", "Paris", kParis, 1, 1);
+  NodeId r1 = topo.add_node(NodeKind::Router, "r1", "FR", "Paris", kParis, 1, 2);
+  NodeId r2 = topo.add_node(NodeKind::Router, "r2", "DE", "Frankfurt", kFrankfurt, 2, 3);
+  NodeId s = topo.add_node(NodeKind::Server, "s", "FR", "Paris", kParis, 1, 4);
+  topo.add_link_latency(m, r1, 8.0);
+  topo.add_link_latency(m, r2, 1.0);
+  topo.add_link_latency(r2, r1, 2.0);
+  topo.add_link_latency(r1, s, 0.5);
+  topo.freeze();
+  EXPECT_EQ(topo.route_cache_size(), 1u);
+  auto path = topo.shortest_path(m, s);
+  ASSERT_TRUE(path.has_value());
+  EXPECT_EQ(path->nodes, (std::vector<NodeId>{m, r2, r1, s}));
+  EXPECT_EQ(path->cum_ms, (std::vector<double>{0.0, 1.0, 3.0, 3.5}));
+  EXPECT_EQ(topo.latency_ms(s, m), 3.5);
+}
+
+TEST(Topology, IsolatedNodeIsUnreachable) {
+  Topology topo;
+  NodeId c = topo.add_node(NodeKind::Client, "c", "FR", "Paris", kParis, 1, 1);
+  NodeId r = topo.add_node(NodeKind::Router, "r", "FR", "Paris", kParis, 1, 2);
+  NodeId s = topo.add_node(NodeKind::Server, "s", "FR", "Paris", kParis, 1, 3);
+  NodeId iso = topo.add_node(NodeKind::Client, "iso", "US", "NYC", kNYC, 1, 4);
+  topo.add_link_latency(c, r, 1.0);
+  topo.add_link_latency(r, s, 1.0);
+  topo.freeze();
+  EXPECT_EQ(topo.route_cache_size(), 2u);
+  for (auto [from, to] : {std::pair{c, iso}, std::pair{iso, c}, std::pair{iso, s},
+                          std::pair{r, iso}}) {
+    EXPECT_FALSE(topo.shortest_path(from, to).has_value());
+    EXPECT_EQ(topo.latency_ms(from, to), std::numeric_limits<double>::infinity());
+  }
+  EXPECT_EQ(topo.latency_ms(iso, iso), 0.0);
+}
+
+TEST(Topology, EqualCostTieGoesToLowerNodeId) {
+  // c -> r -> {a, b} -> t -> s, every link 1 ms (s's 0.5): both middle
+  // routers tie. r and t list b first, yet a, the lower id, is taken.
+  Topology topo;
+  NodeId c = topo.add_node(NodeKind::Client, "c", "FR", "Paris", kParis, 1, 1);
+  NodeId r = topo.add_node(NodeKind::Router, "r", "FR", "Paris", kParis, 1, 2);
+  NodeId a = topo.add_node(NodeKind::Router, "a", "DE", "Frankfurt", kFrankfurt, 1, 3);
+  NodeId b = topo.add_node(NodeKind::Router, "b", "DE", "Frankfurt", kFrankfurt, 1, 4);
+  NodeId t = topo.add_node(NodeKind::Router, "t", "US", "NYC", kNYC, 1, 5);
+  NodeId s = topo.add_node(NodeKind::Server, "s", "US", "NYC", kNYC, 1, 6);
+  topo.add_link_latency(c, r, 1.0);
+  topo.add_link_latency(r, b, 1.0);
+  topo.add_link_latency(r, a, 1.0);
+  topo.add_link_latency(t, b, 1.0);
+  topo.add_link_latency(t, a, 1.0);
+  topo.add_link_latency(t, s, 0.5);
+  topo.freeze();
+  auto path = topo.shortest_path(c, s);
+  ASSERT_TRUE(path.has_value());
+  EXPECT_EQ(path->nodes, (std::vector<NodeId>{c, r, a, t, s}));
+  EXPECT_EQ(path->cum_ms, (std::vector<double>{0.0, 1.0, 2.0, 3.0, 3.5}));
+  // From s the tie sits at r's end: t relaxes b first, and a still wins.
+  auto back = topo.shortest_path(s, c);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->nodes, (std::vector<NodeId>{s, t, a, r, c}));
 }
 
 // Physics invariant: for geographically-placed links, the RTT between any
@@ -255,6 +367,7 @@ TEST(Topology, SolInvariantHoldsOnGeographicLinks) {
       topo.add_link(nodes[i], nodes[j]);
     }
   }
+  topo.freeze();
   for (size_t i = 0; i < nodes.size(); ++i) {
     for (size_t j = 0; j < nodes.size(); ++j) {
       if (i == j) continue;

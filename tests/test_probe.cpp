@@ -22,6 +22,7 @@ struct ProbeFixture : ::testing::Test {
     topo_.add_link_latency(client_, r1_, 3.0);
     topo_.add_link(r1_, r2_);
     topo_.add_link(r2_, server_);
+    topo_.freeze();
     zones_.add_ptr(0x0A000002, "cr1.khi1.backbone-pk.net");
     zones_.add_ptr(0x0A000003, "cr1.dxb1.transit-ae.net");
     zones_.add_ptr(0x0A000004, "srv.cdg.hosting.example");

@@ -1,16 +1,16 @@
 // util::ThreadPool unit tests plus the concurrency stress suite for the
 // shared substrate. The stress tests are designed to run under
-// GAMMA_SANITIZE=thread: they hammer net::Topology's memoized route cache
-// from many threads at once, which is exactly the access pattern a parallel
-// study produces and exactly what TSan flags if the shard locking regresses.
+// GAMMA_SANITIZE=thread: they query a frozen net::Topology from many
+// threads at once, which is exactly the access pattern a parallel study
+// produces and exactly what TSan flags if a query ever writes shared state.
 #include "util/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -120,39 +120,43 @@ TEST(ThreadPool, ParallelForRethrowsFirstException) {
 }
 
 // ---------------------------------------------------------------------------
-// Topology route-cache stress (the satellite regression for the pre-existing
-// unsynchronized `trees_` cache).
+// Frozen-topology query stress.
 // ---------------------------------------------------------------------------
 
-/// A random connected graph big enough that threads keep missing the cache.
-/// (By pointer: the shard mutexes make Topology immovable, by design.)
-std::unique_ptr<net::Topology> make_stress_topology(size_t nodes, uint64_t seed) {
-  auto topo_ptr = std::make_unique<net::Topology>();
-  net::Topology& topo = *topo_ptr;
+/// Routers on a random connected graph, plus a quarter of the nodes as
+/// Client leaves hung off random routers: a generated world's shape, where
+/// every Client gets a frozen tree and any other source a one-off tree.
+net::Topology make_stress_topology(size_t nodes, uint64_t seed) {
+  net::Topology topo;
   util::Rng rng(seed);
+  const size_t routers = nodes - nodes / 4;
   for (size_t i = 0; i < nodes; ++i) {
     geo::Coord c{rng.uniform_real(-60.0, 60.0), rng.uniform_real(-180.0, 180.0)};
-    topo.add_node(net::NodeKind::Router, "r" + std::to_string(i), "XX", "city", c,
+    topo.add_node(i < routers ? net::NodeKind::Router : net::NodeKind::Client,
+                  "n" + std::to_string(i), "XX", "city", c,
                   /*asn=*/65000, /*ip=*/static_cast<net::IPv4>(0x0A000000 + i + 1));
   }
   // A ring guarantees connectivity; chords make path choices non-trivial.
-  for (size_t i = 0; i < nodes; ++i) {
-    topo.add_link(static_cast<net::NodeId>(i), static_cast<net::NodeId>((i + 1) % nodes));
+  for (size_t i = 0; i < routers; ++i) {
+    topo.add_link(static_cast<net::NodeId>(i), static_cast<net::NodeId>((i + 1) % routers));
   }
-  for (size_t i = 0; i < nodes * 2; ++i) {
-    auto a = static_cast<net::NodeId>(rng.uniform(nodes));
-    auto b = static_cast<net::NodeId>(rng.uniform(nodes));
+  for (size_t i = 0; i < routers * 2; ++i) {
+    auto a = static_cast<net::NodeId>(rng.uniform(routers));
+    auto b = static_cast<net::NodeId>(rng.uniform(routers));
     if (a != b) topo.add_link(a, b);
   }
-  return topo_ptr;
+  for (size_t i = routers; i < nodes; ++i) {
+    topo.add_link(static_cast<net::NodeId>(i), static_cast<net::NodeId>(rng.uniform(routers)));
+  }
+  topo.freeze();
+  return topo;
 }
 
 TEST(TopologyConcurrency, ParallelQueriesMatchSerialAnswers) {
   constexpr size_t kNodes = 160;
-  std::unique_ptr<net::Topology> topo_ptr = make_stress_topology(kNodes, 99);
-  net::Topology& topo = *topo_ptr;
+  const net::Topology topo = make_stress_topology(kNodes, 99);
 
-  // Serial ground truth on a cold cache.
+  // Serial ground truth.
   std::vector<std::vector<double>> expected(kNodes);
   for (size_t from = 0; from < kNodes; ++from) {
     expected[from].resize(kNodes);
@@ -161,11 +165,9 @@ TEST(TopologyConcurrency, ParallelQueriesMatchSerialAnswers) {
           topo.latency_ms(static_cast<net::NodeId>(from), static_cast<net::NodeId>(to));
     }
   }
-  topo.invalidate_routes();
-  ASSERT_EQ(topo.route_cache_size(), 0u);
 
-  // 8 threads hammer the now-cold cache with interleaved sources so every
-  // shard sees concurrent readers and writers.
+  // 8 threads query interleaved sources, so frozen trees (Client sources)
+  // and one-off trees (Router sources) are read concurrently.
   constexpr size_t kThreads = 8;
   util::ThreadPool pool(kThreads);
   std::atomic<size_t> mismatches{0};
@@ -182,43 +184,8 @@ TEST(TopologyConcurrency, ParallelQueriesMatchSerialAnswers) {
     }
   });
   EXPECT_EQ(mismatches.load(), 0u);
-  EXPECT_EQ(topo.route_cache_size(), kNodes);
-}
-
-TEST(TopologyConcurrency, InvalidateBetweenAndDuringPhasesIsSafe) {
-  constexpr size_t kNodes = 96;
-  std::unique_ptr<net::Topology> topo_ptr = make_stress_topology(kNodes, 123);
-  net::Topology& topo = *topo_ptr;
-
-  util::ThreadPool pool(8);
-  // Phase 1: warm the cache from many threads.
-  util::parallel_for(pool, 8, [&](size_t t) {
-    util::Rng rng(t);
-    for (int i = 0; i < 500; ++i) {
-      topo.latency_ms(static_cast<net::NodeId>(rng.uniform(kNodes)),
-                      static_cast<net::NodeId>(rng.uniform(kNodes)));
-    }
-  });
-  EXPECT_GT(topo.route_cache_size(), 0u);
-
-  // Between phases: a clean invalidate while the pool is quiescent.
-  topo.invalidate_routes();
-  EXPECT_EQ(topo.route_cache_size(), 0u);
-
-  // Phase 2: readers race against periodic invalidations. shared_ptr-owned
-  // trees mean a reader holding a tree across an invalidate stays valid;
-  // TSan flags any regression in the shard locking.
-  std::atomic<size_t> bad{0};
-  util::parallel_for(pool, 8, [&](size_t t) {
-    util::Rng rng(500 + t);
-    for (int i = 0; i < 2000; ++i) {
-      if (t == 0 && i % 64 == 0) topo.invalidate_routes();
-      auto from = static_cast<net::NodeId>(rng.uniform(kNodes));
-      auto path = topo.shortest_path(from, static_cast<net::NodeId>(rng.uniform(kNodes)));
-      if (!path || path->nodes.empty() || path->nodes.front() != from) bad.fetch_add(1);
-    }
-  });
-  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_EQ(topo.route_cache_size(), topo.nodes_of_kind(net::NodeKind::Client).size());
+  EXPECT_EQ(topo.route_cache_size(), kNodes / 4);
 }
 
 }  // namespace

@@ -179,6 +179,7 @@ struct BrowserFixture : ::testing::Test {
     net::NodeId tracker_srv = topo_.add_node(net::NodeKind::Server, "trk", "DE", "Frankfurt",
                                              frankfurt, 3, 0x0A000020);
     topo_.add_link(router_, tracker_srv);
+    topo_.freeze();
 
     zones_.add_a("news.example.eg", 0x0A000010);
     zones_.add_a("tracker.example.de", 0x0A000020);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <optional>
 #include <set>
 #include <string>
@@ -98,6 +99,37 @@ uint64_t fabric_digest(const World& w) {
     }
   }
   return util::fnv1a(bytes);
+}
+
+// FNV-1a over every route a study can ask for: from each Client node (every
+// volunteer and Atlas probe), the latency bits to every node, then, for every
+// 97th destination, the routed path's node ids and cumulative latency bits.
+uint64_t route_digest(const World& w) {
+  const net::Topology& topo = w.topology;
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  const auto count = static_cast<net::NodeId>(topo.node_count());
+  for (net::NodeId from : topo.nodes_of_kind(net::NodeKind::Client)) {
+    for (net::NodeId to = 0; to < count; ++to) {
+      mix(std::bit_cast<uint64_t>(topo.latency_ms(from, to)));
+    }
+    for (net::NodeId to = 0; to < count; to += 97) {
+      std::optional<net::Path> path = topo.shortest_path(from, to);
+      if (!path) {
+        mix(~0ULL);
+        continue;
+      }
+      mix(path->nodes.size());
+      for (net::NodeId id : path->nodes) mix(id);
+      for (double ms : path->cum_ms) mix(std::bit_cast<uint64_t>(ms));
+    }
+  }
+  return h;
 }
 
 struct WorldFixture : ::testing::Test {
@@ -319,6 +351,15 @@ TEST_F(WorldFixture, FabricDigestIsPinned) {
   EXPECT_EQ(fabric_digest(*world_), 0x773793721ad7839cULL);
   EXPECT_EQ(fabric_digest(*generate_world({.scale_countries = 3, .scale_sites = 30})),
             0x58a2b9d2d660a070ULL);
+}
+
+TEST_F(WorldFixture, RouteDigestIsPinned) {
+  // Every latency and path a study can measure, pinned: a change to the
+  // route computation that moves one bit of one latency, or one hop of a
+  // sampled path, moves the digest. FabricDigestIsPinned pins the graph.
+  EXPECT_EQ(route_digest(*world_), 0x34f446ddd65853a3ULL);
+  EXPECT_EQ(route_digest(*generate_world({.scale_countries = 3, .scale_sites = 30})),
+            0x64737146fa35a210ULL);
 }
 
 TEST_F(WorldFixture, GovernmentSitesAvoidUsHostedTrackersOutsideUae) {

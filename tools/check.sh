@@ -28,10 +28,11 @@
 #           `gamma top --once --json` must emit a parseable sample
 #   hostile an unknown --country, a non-numeric --jobs, a policy report
 #           over a store of codes this process does not know, a suffixed
-#           --limit, a NaN --rate and an --out path under a regular file
-#           must each fail with a structured error (exit nonzero, below
-#           128), never a signal; a port file holding "1abc" must exit 2;
-#           `gamma run --out` into a missing directory must create it
+#           --limit, a NaN --rate, an --out path under a regular file and
+#           `study --shard-dir D --out O` (O never made) must each fail with
+#           a structured error (exit nonzero, below 128), never a signal; a
+#           port file holding "1abc" must exit 2; `gamma run --out` into a
+#           missing directory must create it
 #
 # Sanitizers:
 #   tsan  -> shared-state suites (thread pool, parallel study runner,
@@ -479,6 +480,14 @@ arm_hostile() {
   "$GAMMA" run --country NZ --out "$SMOKE/new/dir" >/dev/null
   test -s "$SMOKE/new/dir/dataset-NZ.json"
   echo "   run --out into a missing directory wrote dataset-NZ.json"
+  # A sharded study keeps no datasets, so --out with --shard-dir is refused
+  # before any work rather than dropped: the directory is never made.
+  refused study --countries 3 --sites 30 --shard-dir "$SMOKE/hostile/shards" \
+    --out "$SMOKE/hostile/sharded-out"
+  if [[ -e "$SMOKE/hostile/sharded-out" ]]; then
+    echo "   ERROR: study --shard-dir --out created its --out directory" >&2
+    return 1
+  fi
 }
 
 echo "== tier-1: configure + build =="
@@ -495,7 +504,7 @@ run_arm "serve smoke: daemon up, client query, SIGTERM drain" arm_serve
 run_arm "chaos smoke: SIGKILL + restart under retry-armed client load" arm_chaos
 run_arm "shard smoke: kill mid-run, resume, merge, byte-diff all reports" arm_shard
 run_arm "pulse smoke: slow-log at --slow-ms 0, study_status to done, gamma top" arm_pulse
-run_arm "hostile smoke: bad country, bad numeric flags, bad port file, foreign policy query exit cleanly; --out dirs made up front" arm_hostile
+run_arm "hostile smoke: bad country, bad numeric flags, bad port file, foreign policy query, --out with --shard-dir exit cleanly; --out dirs made up front" arm_hostile
 
 finish() {
   if [[ ${#FAILURES[@]} -gt 0 ]]; then

@@ -202,7 +202,9 @@ void usage() {
                "                       DIR/shard-<index>-<code>.gmst and drop it from\n"
                "                       memory; peak RSS is bounded by --jobs in-flight\n"
                "                       countries, not the world size. With --store-out\n"
-               "                       the shards are merged into that single store\n"
+               "                       the shards are merged into that single store;\n"
+               "                       --out DIR is refused (a sharded study keeps no\n"
+               "                       datasets)\n"
                "study resilience options:\n"
                "  --fault-plan FILE    arm the deterministic fault plane with the JSON\n"
                "                       plan in FILE (see DESIGN.md); the study degrades\n"
@@ -645,10 +647,12 @@ int cmd_study(const Args& args) {
     std::fprintf(stderr, "study: --resume requires --checkpoint DIR\n");
     return 1;
   }
-  // Sharded studies write no --out datasets (see below).
-  if (!args.out.empty() && args.shard_dir.empty() && !make_out_dir("study", args.out)) {
+  if (!args.out.empty() && !args.shard_dir.empty()) {
+    std::fprintf(stderr, "study: --out DIR does not apply with --shard-dir DIR (a sharded "
+                         "study keeps no datasets); use --store-out FILE for the merged store\n");
     return 1;
   }
+  if (!args.out.empty() && !make_out_dir("study", args.out)) return 1;
   worldgen::StudyOptions options;
   options.countries = args.countries;
   options.seed = args.seed;
@@ -714,7 +718,7 @@ int cmd_study(const Args& args) {
 
   if (!options.shard_dir.empty()) {
     // GammaShard mode: per-country results live on disk, not in memory, so
-    // the in-memory report path (and --out datasets) does not apply.
+    // the in-memory report path does not apply.
     std::printf("%zu shards published to %s\n", study.countries(), args.shard_dir.c_str());
     if (study.shards_reused > 0) {
       std::printf("reused %zu intact shards from checkpoint\n", study.shards_reused);
