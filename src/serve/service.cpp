@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <optional>
@@ -17,7 +18,6 @@
 #include "store/reports.h"
 #include "util/logging.h"
 #include "util/metrics.h"
-#include "world/country.h"
 
 namespace gam::serve {
 
@@ -235,9 +235,9 @@ util::StatusOr<util::Json> Service::handle_query(Session& session,
   }
   spec.group_by = params.get_string("group_by");
   spec.flows = params.get_bool("flows");
-  double limit = params.get_number("limit", 0.0);
-  if (limit < 0) return util::Status::invalid_argument("\"limit\" must be >= 0");
-  spec.limit = static_cast<size_t>(limit);
+  std::optional<uint64_t> limit = count_param(params, "limit", 0);
+  if (!limit) return util::Status::invalid_argument("\"limit\" must be a non-negative integer");
+  spec.limit = *limit;
 
   store::Error error;
   std::optional<util::Json> result = store::Query(r).run(spec, &error);
@@ -246,9 +246,28 @@ util::StatusOr<util::Json> Service::handle_query(Session& session,
 }
 
 util::StatusOr<util::Json> Service::handle_submit_study(const util::Json& params) {
+  // Every key must be one this kind reads (or the envelope's id and kind),
+  // with the type it needs: a dropped key would run a study nobody asked for.
+  static constexpr std::string_view kKeys[] = {"id",        "kind",      "seed",     "jobs",
+                                               "countries", "store_out", "shard_dir"};
+  for (const auto& [key, value] : params.fields()) {
+    if (std::find(std::begin(kKeys), std::end(kKeys), key) == std::end(kKeys)) {
+      return util::Status::invalid_argument("submit_study: unknown key \"" + key + "\"");
+    }
+    if ((key == "store_out" || key == "shard_dir") && !value.is_string()) {
+      return util::Status::invalid_argument("submit_study: \"" + key + "\" must be a string");
+    }
+    auto is_string = [](const util::Json& c) { return c.is_string(); };
+    const util::JsonArray& items = value.items();
+    if (key == "countries" &&
+        !(value.is_array() && std::all_of(items.begin(), items.end(), is_string))) {
+      return util::Status::invalid_argument(
+          "submit_study: \"countries\" must be an array of strings");
+    }
+  }
   worldgen::StudyOptions options;
-  std::optional<uint64_t> seed = count_param(params, "seed", 7);
-  std::optional<uint64_t> jobs = count_param(params, "jobs", 1);
+  std::optional<uint64_t> seed = count_param(params, "seed", options.seed);
+  std::optional<uint64_t> jobs = count_param(params, "jobs", options.jobs);
   if (!seed || !jobs) {
     return util::Status::invalid_argument(
         "submit_study: \"seed\" and \"jobs\" must be non-negative integers");
@@ -256,13 +275,7 @@ util::StatusOr<util::Json> Service::handle_submit_study(const util::Json& params
   options.seed = *seed;
   options.jobs = *jobs;
   if (const util::Json* countries = params.find("countries")) {
-    for (const util::Json& c : countries->items()) {
-      if (!c.is_string() || !world::is_source_country(c.as_string())) {
-        return util::Status::invalid_argument(
-            "submit_study: unknown source country '" + c.as_string() + "'");
-      }
-      options.countries.push_back(c.as_string());
-    }
+    for (const util::Json& c : countries->items()) options.countries.push_back(c.as_string());
   }
   options.store_out = params.get_string("store_out");
   options.shard_dir = params.get_string("shard_dir");
@@ -271,6 +284,17 @@ util::StatusOr<util::Json> Service::handle_submit_study(const util::Json& params
   // Resume unconditionally when journaled: that is the daemon restart
   // contract — a killed study's countries are reused, byte-identically.
   options.resume = !options_.checkpoint_dir.empty();
+  // The study rules, against the world this daemon serves (the paper world
+  // until one is generated), before the request queues behind a study.
+  worldgen::WorldConfig world_config;
+  {
+    std::lock_guard<std::mutex> lock(world_mu_);
+    if (options_.world) world_config = options_.world->config;
+  }
+  if (util::Status request = worldgen::check_study_request(world_config, options);
+      !request.ok()) {
+    return util::Status::invalid_argument("submit_study: " + request.message());
+  }
 
   // GammaPulse job tracking: register the progress handle BEFORE taking
   // study_mu_, so study_status can see a job that is still waiting its turn
@@ -299,7 +323,7 @@ util::StatusOr<util::Json> Service::handle_submit_study(const util::Json& params
   } catch (const std::exception& e) {
     options.progress->finish(false);
     std::string what = e.what();
-    // Past the country check above, run_study throws exactly two structured
+    // Past check_study_request above, run_study throws exactly two structured
     // failures: a journal held by a concurrent study (retryable) and a
     // failed store write (not).
     if (what.find("locked") != std::string::npos) {
@@ -345,15 +369,18 @@ util::StatusOr<util::Json> Service::handle_study_status(const util::Json& params
   // and the progress snapshot's own mutex are touched.
   uint64_t job_id = 0;
   std::shared_ptr<worldgen::StudyProgress> progress;
-  double requested = params.get_number("job", 0.0);
+  std::optional<uint64_t> requested = count_param(params, "job", 0);
+  if (!requested) {
+    return util::Status::invalid_argument(
+        "study_status: \"job\" must be a non-negative integer");
+  }
   {
     std::lock_guard<std::mutex> lock(jobs_mu_);
-    if (requested > 0.0) {
-      auto it = jobs_.find(static_cast<uint64_t>(requested));
+    if (*requested > 0) {
+      auto it = jobs_.find(*requested);
       if (it == jobs_.end()) {
         return util::Status::not_found(
-            "study_status: unknown job " +
-            std::to_string(static_cast<uint64_t>(requested)) +
+            "study_status: unknown job " + std::to_string(*requested) +
             " (tracked: most recent " + std::to_string(kMaxTrackedJobs) + ")");
       }
       job_id = it->first;

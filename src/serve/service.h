@@ -11,10 +11,11 @@
 //   open          {"path": P}                 -> open + share a GMST store
 //   query         {"store"?, "report"? | "table"/"where"/...} -> store scan;
 //                 result bytes identical to `gamma store query` (test-asserted)
-//   submit_study  {"seed"?, "countries"?, "jobs"?, "store_out"?} -> run a
-//                 study; journaled to the daemon's checkpoint dir, so a
-//                 killed daemon resumes per-country on restart. The reply
-//                 carries the tracked "job" id for study_status.
+//   submit_study  {"seed"?, "countries"?, "jobs"?, "store_out"?, "shard_dir"?}
+//                 -> run a study; journaled to the daemon's checkpoint dir,
+//                 so a killed daemon resumes per-country on restart. Any
+//                 other key is invalid_argument. The reply carries the
+//                 tracked "job" id for study_status.
 //   study_status  {"job"?: N}                 -> GammaPulse progress for the
 //                 given (default: latest) submitted study — per-country
 //                 states, counts, elapsed, ETA. Inline: answers while a

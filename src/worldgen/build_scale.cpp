@@ -13,7 +13,18 @@
 #include "util/logging.h"
 #include "worldgen/internal.h"
 
-namespace gam::worldgen::internal {
+namespace gam::worldgen {
+
+std::vector<std::string> vantage_countries(const WorldConfig& cfg) {
+  if (cfg.scale_countries == 0) return world::source_countries();
+  std::vector<std::string> codes;
+  for (size_t i = 0; i < cfg.scale_countries; ++i) {
+    codes.push_back(world::CountryDb::synthetic_code(i));
+  }
+  return codes;
+}
+
+namespace internal {
 
 namespace {
 
@@ -70,11 +81,11 @@ void prepare_scale(Builder& b) {
   const WorldConfig& cfg = *b.cfg;
   const auto& db = world::CountryDb::instance();
   for (const auto& c : db.all()) b.map_countries.push_back(&c);
+  b.vantage = vantage_countries(cfg);
 
   if (cfg.scale_countries == 0) {
     b.scale.enabled = false;
     b.cals = calibration();
-    b.vantage = world::source_countries();
   } else {
     const size_t countries = cfg.scale_countries;
     const size_t sites = cfg.scale_sites ? cfg.scale_sites : countries * 100;
@@ -88,13 +99,12 @@ void prepare_scale(Builder& b) {
     world::CountryDb::ensure_synthetic(countries);
     util::Rng cal_rng = b.rng.fork("scale-cal");
     for (size_t i = 0; i < countries; ++i) {
-      std::string code = world::CountryDb::synthetic_code(i);
-      b.vantage.push_back(code);
-      b.cals.push_back(synthetic_calibration(code, i, b.scale, cal_rng));
-      b.map_countries.push_back(&db.at(code));
+      b.cals.push_back(synthetic_calibration(b.vantage[i], i, b.scale, cal_rng));
+      b.map_countries.push_back(&db.at(b.vantage[i]));
     }
   }
   b.w->vantage_countries = b.vantage;
 }
 
-}  // namespace gam::worldgen::internal
+}  // namespace internal
+}  // namespace gam::worldgen

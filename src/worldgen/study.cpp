@@ -169,21 +169,32 @@ util::Json StudyProgress::status_json() const {
   return doc;
 }
 
-StudyResult run_study(World& world, const StudyOptions& options) {
-  StudyResult result;
-  result.targets_before_optout = world.targets_before_optout;
-
-  // The world's vantage set: the paper's 23 in the legacy world, the
-  // synthetic "V.." countries in scale mode. A country outside it has no
-  // volunteer, so it is refused here, before any session starts.
-  const std::vector<std::string>& vantage =
-      world.vantage_countries.empty() ? world::source_countries() : world.vantage_countries;
-  std::vector<std::string> countries = options.countries.empty() ? vantage : options.countries;
-  for (const std::string& code : countries) {
+util::Status check_study_request(const WorldConfig& cfg, const StudyOptions& options) {
+  if (cfg.scale_sites > 0 && cfg.scale_countries == 0) {
+    return util::Status::invalid_argument("--sites needs --countries N");
+  }
+  // A country outside the vantage set has no volunteer to measure from.
+  const std::vector<std::string> vantage = vantage_countries(cfg);
+  for (const std::string& code : options.countries) {
     if (std::find(vantage.begin(), vantage.end(), code) == vantage.end()) {
-      throw std::invalid_argument("country '" + code + "' is not a vantage country of this world");
+      return util::Status::invalid_argument("country '" + code +
+                                            "' is not a vantage country of this world");
     }
   }
+  if (options.resume && options.checkpoint_dir.empty()) {
+    return util::Status::invalid_argument("--resume needs --checkpoint DIR");
+  }
+  return util::Status();
+}
+
+StudyResult run_study(World& world, const StudyOptions& options) {
+  if (util::Status request = check_study_request(world.config, options); !request.ok()) {
+    throw std::invalid_argument(request.message());
+  }
+  StudyResult result;
+  result.targets_before_optout = world.targets_before_optout;
+  std::vector<std::string> countries =
+      options.countries.empty() ? vantage_countries(world.config) : options.countries;
 
   // Arm the progress observer on the *resolved* list, so study_status shows
   // real country codes even when the caller asked for "all".

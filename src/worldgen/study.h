@@ -18,6 +18,7 @@
 #include "analysis/dataset.h"
 #include "util/fault.h"
 #include "util/json.h"
+#include "util/status.h"
 #include "worldgen/world.h"
 
 namespace gam::worldgen {
@@ -96,8 +97,7 @@ struct StudyResult {
 
 struct StudyOptions {
   uint64_t seed = 7;
-  /// Countries to measure; empty = the world's whole vantage set. A country
-  /// outside that set makes run_study throw std::invalid_argument.
+  /// Countries to measure; empty = the world's whole vantage set.
   std::vector<std::string> countries;
   /// Worker threads for the per-country fan-out: each country's whole
   /// crawl -> scrub -> Atlas repair -> analysis chain runs as one task on a
@@ -138,6 +138,13 @@ struct StudyOptions {
   std::shared_ptr<StudyProgress> progress;
 };
 
+/// The rules every study request meets, checked before any world is built:
+/// a site budget (scale_sites) needs synthetic countries (scale_countries),
+/// each requested country is one of vantage_countries(cfg), and resume needs
+/// a checkpoint_dir. Returns the first rule broken, as invalid_argument.
+util::Status check_study_request(const WorldConfig& cfg, const StudyOptions& options);
+
+/// Throws std::invalid_argument for a request check_study_request refuses.
 StudyResult run_study(World& world, const StudyOptions& options = {});
 
 }  // namespace gam::worldgen

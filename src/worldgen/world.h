@@ -81,4 +81,8 @@ struct World {
 /// Build the full calibrated world. Deterministic in cfg.seed.
 std::unique_ptr<World> generate_world(const WorldConfig& cfg = {});
 
+/// The measurement countries of the world `cfg` builds, in study order: the
+/// paper's 23, or cfg.scale_countries synthetic "V.." codes. Builds nothing.
+std::vector<std::string> vantage_countries(const WorldConfig& cfg);
+
 }  // namespace gam::worldgen

@@ -303,20 +303,25 @@ TEST(Service, SubmitStudyRejectsSeedAndJobsThatAreNotCounts) {
   serve::Service service({});
   ASSERT_TRUE(service.init().ok());
   serve::Session session;
-  auto submit = [&](const char* key, double value) {
-    util::Json params = util::Json::object();
-    util::Json countries = util::Json::array();
-    countries.push_back("US");
-    params["countries"] = std::move(countries);
-    params[key] = value;
-    return service.handle(session, "submit_study", params);
+  // Each request is refused as invalid_argument naming `key`; none may run
+  // a study with the input dropped.
+  auto refused = [&](const char* request, const char* key) {
+    std::optional<util::Json> params = util::Json::parse(request);
+    ASSERT_TRUE(params.has_value()) << request;
+    auto reply = service.handle(session, "submit_study", *params);
+    ASSERT_FALSE(reply.ok()) << request;
+    EXPECT_EQ(reply.status().code(), util::StatusCode::kInvalidArgument) << request;
+    EXPECT_NE(reply.status().message().find(key), std::string::npos)
+        << request << " -> " << reply.status().message();
   };
-  auto fractional_jobs = submit("jobs", 2.5);
-  ASSERT_FALSE(fractional_jobs.ok());
-  EXPECT_EQ(fractional_jobs.status().code(), util::StatusCode::kInvalidArgument);
-  auto negative_seed = submit("seed", -1);
-  ASSERT_FALSE(negative_seed.ok());
-  EXPECT_EQ(negative_seed.status().code(), util::StatusCode::kInvalidArgument);
+  refused(R"({"countries": ["US"], "jobs": 2.5})", "jobs");
+  refused(R"({"countries": ["US"], "seed": -1})", "seed");
+  refused(R"({"countries": "NZ", "jobs": 4})", "countries");
+  refused(R"({"countries": ["NZ", 5]})", "countries");
+  refused(R"({"countries": ["NZ"], "store_out": 5})", "store_out");
+  refused(R"({"countries": ["NZ"], "shard_dir": true})", "shard_dir");
+  refused(R"({"countries": ["NZ"], "jobz": 9})", "jobz");
+  refused(R"({"countries": ["V00"]})", "V00");  // not in the paper world
 }
 
 TEST(Service, MissingStoreIsNotFoundAndNotCached) {
@@ -463,6 +468,17 @@ TEST(Serve, QueryErrorsAreStructured) {
   bad_table["table"] = "nope";
   EXPECT_EQ(must_error_code(client->call("query", std::move(bad_table))),
             "invalid_argument");
+
+  // "limit" is a count: a fraction, a sign or a value past 2^64 is refused,
+  // never truncated or cast out of range.
+  for (double limit : {2.5, -1.0, 1e30}) {
+    util::Json bad_limit = util::Json::object();
+    bad_limit["table"] = "hits";
+    bad_limit["limit"] = limit;
+    EXPECT_EQ(must_error_code(client->call("query", std::move(bad_limit))),
+              "invalid_argument")
+        << limit;
+  }
 }
 
 TEST(Serve, ConcurrentClientsGetIdenticalBytes) {
@@ -1544,6 +1560,14 @@ TEST(ServePulse, StudyStatusReportsNoneThenTracksJobs) {
   bogus["job"] = 999;
   EXPECT_EQ(must_error_code(client->call("study_status", std::move(bogus))),
             "not_found");
+  // A job id is a count: no fraction, sign, or value past 2^64.
+  for (double job : {2.5, -1.0, 1e30}) {
+    util::Json bad_job = util::Json::object();
+    bad_job["job"] = job;
+    EXPECT_EQ(must_error_code(client->call("study_status", std::move(bad_job))),
+              "invalid_argument")
+        << job;
+  }
 
   util::Json submit = util::Json::object();
   submit["seed"] = 67;

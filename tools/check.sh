@@ -28,11 +28,14 @@
 #           `gamma top --once --json` must emit a parseable sample
 #   hostile an unknown --country, a non-numeric --jobs, a policy report
 #           over a store of codes this process does not know, a suffixed
-#           --limit, a NaN --rate, an --out path under a regular file and
-#           `study --shard-dir D --out O` (O never made) must each fail with
-#           a structured error (exit nonzero, below 128), never a signal; a
-#           port file holding "1abc" must exit 2; `gamma run --out` into a
-#           missing directory must create it
+#           --limit, a flag the command does not read (each input a command
+#           once dropped silently), a study rule broken (`--resume` without
+#           `--checkpoint`, a missing fault plan), `har --country ZZ`, an
+#           --out path under a regular file and `study --shard-dir D --out O`
+#           (O never made) must each fail with a structured error (exit
+#           nonzero, below 128), never a signal; a port file holding "1abc"
+#           and `client ping --retry-base-ms nan` must exit 2 without
+#           dialing; `gamma run --out` into a missing directory must create it
 #
 # Sanitizers:
 #   tsan  -> shared-state suites (thread pool, parallel study runner,
@@ -461,18 +464,33 @@ arm_hostile() {
   # bug cannot leave a daemon behind.
   refused store query "$SMOKE/hostile/scale.gmst" --report funnel --limit 12abc
   refused store query "$SMOKE/hostile/scale.gmst" --report funnel --rate nan
-  # A port file parses as strictly as --port: "1abc" is a usage error
+  # A flag the command does not read, or a study rule it cannot honour, is
+  # refused before any work: none of these may exit 0 with the input dropped.
+  refused run --country NZ --store-out "$SMOKE/hostile/run.gmst"
+  refused store build --out "$SMOKE/hostile/b.gmst" --countries 3 --sites 30 \
+    --fault-plan "$SMOKE/hostile/missing.json" --trace-out "$SMOKE/hostile/b.trace" --progress
+  refused store build --out "$SMOKE/hostile/b.gmst" --resume
+  refused study --table sites
+  refused store query "$SMOKE/hostile/scale.gmst" --report funnel --seed 9 --jobs 3 \
+    --fault-plan "$SMOKE/hostile/missing.json"
+  refused audit --seed 5
+  refused har --site google.com --country ZZ
+  usage_error() {  # gamma arguments that must exit 2 before any dial
+    local rc=0
+    "$GAMMA" "$@" >/dev/null 2>"$SMOKE/hostile/err" || rc=$?
+    if [[ $rc -ne 2 ]]; then
+      echo "   ERROR: gamma $* exited $rc, want 2:" >&2
+      sed 's/^/   | /' "$SMOKE/hostile/err" >&2
+      return 1
+    fi
+    echo "   gamma $* -> exit 2: $(head -1 "$SMOKE/hostile/err")"
+  }
+  # A port file parses as strictly as --port, and a real-valued flag the
+  # command reads as strictly as a count: "1abc" and NaN are usage errors
   # (exit 2), never a dial to port 1 (exit 1, which `refused` would accept).
   printf '1abc\n' > "$SMOKE/hostile/port"
-  local rc=0
-  "$GAMMA" client ping --port-file "$SMOKE/hostile/port" >/dev/null \
-    2>"$SMOKE/hostile/err" || rc=$?
-  if [[ $rc -ne 2 ]]; then
-    echo "   ERROR: a port file holding '1abc' exited $rc, want 2:" >&2
-    sed 's/^/   | /' "$SMOKE/hostile/err" >&2
-    return 1
-  fi
-  echo "   port file '1abc' -> exit 2: $(head -1 "$SMOKE/hostile/err")"
+  usage_error client ping --port-file "$SMOKE/hostile/port"
+  usage_error client ping --port 1 --retry-base-ms nan
   # --out DIR is created before any work: a path under a regular file is
   # refused up front, and a missing directory is made.
   : > "$SMOKE/hostile/file"
@@ -504,7 +522,7 @@ run_arm "serve smoke: daemon up, client query, SIGTERM drain" arm_serve
 run_arm "chaos smoke: SIGKILL + restart under retry-armed client load" arm_chaos
 run_arm "shard smoke: kill mid-run, resume, merge, byte-diff all reports" arm_shard
 run_arm "pulse smoke: slow-log at --slow-ms 0, study_status to done, gamma top" arm_pulse
-run_arm "hostile smoke: bad country, bad numeric flags, bad port file, foreign policy query, --out with --shard-dir exit cleanly; --out dirs made up front" arm_hostile
+run_arm "hostile smoke: bad country, bad numeric flags, inapplicable flags, broken study rules, bad port file, foreign policy query, --out with --shard-dir exit cleanly; --out dirs made up front" arm_hostile
 
 finish() {
   if [[ ${#FAILURES[@]} -gt 0 ]]; then

@@ -1,26 +1,17 @@
-// gamma — command-line front end for the measurement suite.
+// gamma — command-line front end for the measurement suite: the study, the
+// GMST store, the serve daemon and its clients, and readers for traces and
+// slow logs. `gamma` alone prints every command with the flags it reads.
 //
-//   gamma run --country NZ [--out DIR] [--seed N]
-//       Run one volunteer session (C1→C2→C3 + Atlas repair + scrub) and
-//       write the volunteer dataset JSON — what a real volunteer would have
-//       mailed back to the researchers.
-//
-//   gamma study [--out DIR] [--seed N] [--country CC ...]
-//       Run the full (or restricted) study and write per-country datasets,
-//       per-country analysis summaries, and the headline study summary.
-//
-//   gamma har --site DOMAIN --country CC [--out FILE]
-//       Load one site from one country and export the page load as HAR 1.2.
-//
-//   gamma audit
-//       Print the geolocation pipeline's verdict for every injected IPmap
-//       error visible from each volunteer (regulator-style evidence trail).
+// One table (kFlags, at the bottom) declares each flag once: its parser,
+// the field it sets and the commands that read it. A flag the command does
+// not read is a usage error (exit 2), never silently dropped.
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -32,7 +23,10 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "analysis/flows.h"
@@ -52,6 +46,7 @@
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/retry.h"
+#include "util/strings.h"
 #include "util/trace.h"
 #include "web/har.h"
 #include "worldgen/study.h"
@@ -61,165 +56,43 @@ namespace {
 
 using namespace gam;
 
+// --where COL=VAL predicates, ANDed.
+using Predicates = std::vector<std::pair<std::string, std::string>>;
+
+// Everything a command line can set. Where a command hands a whole struct
+// on (WorldConfig, StudyOptions, ServerOptions), the flags set its fields
+// directly, so each default is stated once, in that struct.
 struct Args {
-  std::string command;
-  std::string subcommand;   // store: build | query; client: request kind
-  std::vector<std::string> countries;
+  std::string command;     // "study", "store build", "client query", ...
+  std::string subcommand;  // store: build|query|merge; client: request kind
+  std::vector<std::string> files;  // positional arguments
+  worldgen::WorldConfig world;
+  worldgen::StudyOptions study;
+  serve::ServerOptions server;
+  // Client self-healing: one attempt, no retries.
+  util::RetryPolicy retry{
+      .max_attempts = 1, .base_delay_ms = 50.0, .max_delay_ms = 2000.0, .deadline_ms = 30000.0};
   std::string site;
   std::string out;
   std::string metrics_out;
-  std::string fault_plan;   // JSON file; arms the fault plane
-  std::string checkpoint;   // journal directory; "" = no checkpointing
-  std::string store_out;    // GMST store file; "" = no store
-  bool resume = false;
-  uint64_t seed = 7;
-  size_t jobs = 1;
-  // GammaShard scale + streaming knobs
-  size_t scale_countries = 0;  // --countries N: synthetic vantage countries
-  size_t scale_sites = 0;      // --sites N: total study site budget
-  std::string shard_dir;       // --shard-dir DIR: stream per-country shards
-  // tracing / structured logs
-  std::string trace_out;    // Chrome trace-event JSON (Perfetto-loadable)
-  std::string trace_jsonl;  // deterministic simulated-time span JSONL
-  std::string log_json;     // structured JSONL log sink
-  std::string trace_file;   // positional FILE for `gamma trace`
-  // store query / merge
-  std::string store_file;   // first positional FILE.gmst
-  std::vector<std::string> store_files;  // all positionals (merge: OUT SHARD...)
+  std::string log_json;
+  std::string fault_plan;
+  std::string trace_out;
+  std::string trace_jsonl;
+  bool progress = false;
   std::string table = "hits";
-  std::vector<std::string> wheres;  // "col=value" predicates, ANDed
+  Predicates wheres;
   std::string group_by;
   std::string report;
   bool flows = false;
-  size_t limit = 0;         // 0 = unlimited
-  // serve / client
-  std::string host = "127.0.0.1";
-  int port = -1;            // -1 = unset: GAMMA_SERVE_PORT env, then default
-  std::string socket_path;  // AF_UNIX listen/connect path (instead of TCP)
-  std::string serve_store;  // serve: default store; client: "store" param
-  std::string port_file;    // serve writes the bound port here; client reads it
-  size_t workers = 4;
-  size_t queue = 64;
-  size_t reactors = 2;      // serve: epoll reactor (I/O) threads
-  size_t chunk_bytes = 0;   // serve: chunked-reply threshold (0 = default)
-  double rate = 0.0;        // serve: per-client requests/sec (0 = unlimited)
-  double burst = 0.0;       // serve: token bucket size (0 = max(rate, 1))
-  // client self-healing (serve::Client::set_retry)
-  int retry = 1;                     // total attempts; 1 = no retries
-  double retry_base_ms = 50.0;       // first backoff
-  double retry_max_ms = 2000.0;      // per-backoff cap
-  double retry_deadline_ms = 30000.0;  // total backoff budget per call
-  // GammaPulse observability
-  double slow_ms = 50.0;        // serve: slow-query threshold, ms (0 = log all)
-  std::string slow_log;         // serve: slow-query JSONL sink ("" = disarmed)
-  uint64_t job = 0;             // study_status / top: job id (0 = latest)
-  bool progress = false;        // study: live progress line on stderr
-  bool once = false;            // top: one sample, then exit
-  bool json_out = false;        // top/slowlog: machine-readable JSON output
-  double interval_ms = 1000.0;  // top: refresh period
-  std::string slowlog_file;     // positional FILE for `gamma slowlog`
+  size_t limit = 0;
+  int port = -1;  // -1 = unset: GAMMA_SERVE_PORT, then the server's default
+  std::string port_file;
+  uint64_t job = 0;
+  bool once = false;
+  bool json = false;
+  double interval_ms = 1000.0;
 };
-
-void usage() {
-  std::fprintf(stderr,
-               "usage: gamma <command> [options]\n"
-               "  run    --country CC [--out DIR] [--seed N]   one volunteer session\n"
-               "  study  [--country CC ...] [--out DIR] [--seed N] [--jobs N]\n"
-               "         [--fault-plan FILE] [--checkpoint DIR] [--resume]\n"
-               "         [--store-out FILE.gmst] [--progress]\n"
-               "         [--countries N] [--sites N] [--shard-dir DIR]  the full study\n"
-               "         --progress redraws a live per-country progress line on\n"
-               "         stderr (done/running/degraded, elapsed, ETA)\n"
-               "  store  build --out FILE.gmst [--country CC ...] [--seed N] [--jobs N]\n"
-               "             [--countries N] [--sites N] [--shard-dir DIR]\n"
-               "             [--checkpoint DIR] [--resume]\n"
-               "             run the study once, serialize its analysis substrate\n"
-               "  store  merge OUT.gmst SHARD.gmst...\n"
-               "             recombine a complete shard set into one store;\n"
-               "             deterministic and argv-order-insensitive, every input\n"
-               "             CRC re-verified, byte-identical to an unsharded build\n"
-               "  store  query FILE.gmst [--report R] [--table T] [--where col=val ...]\n"
-               "             [--group-by col] [--flows] [--limit N] [--out FILE]\n"
-               "             sub-millisecond scans over the mapped store; reports:\n"
-               "             summary|prevalence|policy|per-site|flows|coverage|funnel\n"
-               "  serve  [--store FILE.gmst] [--checkpoint DIR] [--host H] [--port P]\n"
-               "             [--socket PATH] [--workers N] [--queue N] [--reactors N]\n"
-               "             [--rate R] [--burst B] [--chunk-bytes N]\n"
-               "             [--port-file FILE] [--slow-ms MS] [--slow-log FILE]\n"
-               "             [--fault-plan FILE]\n"
-               "             long-lived daemon: studies + store queries over a\n"
-               "             length-prefixed JSON socket protocol; --port 0 (or\n"
-               "             GAMMA_SERVE_PORT=0) binds an ephemeral port; SIGTERM\n"
-               "             drains gracefully (in-flight studies checkpoint);\n"
-               "             --rate R throttles each client to R data requests/sec\n"
-               "             (burst B), large results stream as chunked frames;\n"
-               "             --slow-log FILE arms the GammaPulse slow-query log:\n"
-               "             requests slower end-to-end than --slow-ms (default 50,\n"
-               "             0 = log every request) append one JSONL record to FILE\n"
-               "  client <kind> [--host H] [--port P | --port-file FILE | --socket PATH]\n"
-               "             [--retry N [--retry-base-ms MS] [--retry-max-ms MS]\n"
-               "              [--retry-deadline-ms MS]]\n"
-               "             --retry N arms the self-healing layer: up to N attempts\n"
-               "             with jittered exponential backoff, reconnecting to a\n"
-               "             restarted daemon; idempotent kinds (ping/health/stats/\n"
-               "             query) are re-sent transparently, submit is never\n"
-               "             re-sent (a lost in-flight submit exits with `aborted`)\n"
-               "             kinds: ping | health | stats | shutdown | submit |\n"
-               "             study_status [--job N] |\n"
-               "             query [--report R | --table T --where col=val ...\n"
-               "                    --group-by col --flows --limit N] [--store NAME]\n"
-               "             submit: [--country CC ...] [--seed N] [--jobs N]\n"
-               "                     [--store-out FILE.gmst] [--shard-dir DIR]\n"
-               "  top    [--host H] [--port P | --port-file FILE | --socket PATH]\n"
-               "             [--interval-ms MS] [--once] [--json] [--job N]\n"
-               "             live dashboard over a running daemon: qps, per-kind RED\n"
-               "             p50/p99, queue depth, in-flight, slow-log counters, and\n"
-               "             submitted-study progress, refreshed every --interval-ms\n"
-               "             (default 1000); --once prints one sample and exits,\n"
-               "             --json makes the sample machine-readable\n"
-               "  slowlog FILE [--json]\n"
-               "             validate + summarize a --slow-log file: every line must\n"
-               "             parse as JSON and carry the full DESIGN §14 record\n"
-               "             schema; any malformed line exits non-zero\n"
-               "  har    --site DOMAIN --country CC [--out FILE]     HAR export\n"
-               "  audit                                              IPmap error audit\n"
-               "  trace  FILE [--limit N] [--out FILE]\n"
-               "             analyze a recorded trace (either --trace-out or\n"
-               "             --trace-jsonl format): per-category self/total time,\n"
-               "             per-country critical path, slowest sites, flame stacks\n"
-               "study tracing options:\n"
-               "  --trace-out FILE     write a Chrome trace-event JSON of the study\n"
-               "                       (open in Perfetto / chrome://tracing)\n"
-               "  --trace-jsonl FILE   write the deterministic simulated-time span\n"
-               "                       stream (byte-identical for any --jobs)\n"
-               "study scale options (GammaShard):\n"
-               "  --countries N        replace the 23 source countries with N synthetic\n"
-               "                       vantage countries (V00, V01, ...), generated\n"
-               "                       deterministically from the seed (1..1296)\n"
-               "  --sites N            total study site budget, split evenly across the\n"
-               "                       countries (requires --countries; 1..5000000)\n"
-               "  --shard-dir DIR      stream each finished country's analysis to\n"
-               "                       DIR/shard-<index>-<code>.gmst and drop it from\n"
-               "                       memory; peak RSS is bounded by --jobs in-flight\n"
-               "                       countries, not the world size. With --store-out\n"
-               "                       the shards are merged into that single store;\n"
-               "                       --out DIR is refused (a sharded study keeps no\n"
-               "                       datasets)\n"
-               "study resilience options:\n"
-               "  --fault-plan FILE    arm the deterministic fault plane with the JSON\n"
-               "                       plan in FILE (see DESIGN.md); the study degrades\n"
-               "                       to partial coverage instead of failing\n"
-               "  --checkpoint DIR     journal each completed country to\n"
-               "                       DIR/study-<seed>.jsonl as it finishes\n"
-               "  --resume             reuse countries journaled by a killed run with\n"
-               "                       the same seed/plan; output is byte-identical to\n"
-               "                       an uninterrupted run\n"
-               "common options:\n"
-               "  --metrics-out FILE   after the command, dump pipeline metrics as\n"
-               "                       JSON to FILE and Prometheus text to FILE.prom\n"
-               "  --log-json FILE      mirror Info+ log records to FILE as JSONL\n"
-               "                       (each record links to the active trace span)\n");
-}
 
 // GammaShard scale caps. Synthetic country codes are "V" + two base-36
 // digits, so the code space holds exactly 36*36 vantage countries; the site
@@ -271,222 +144,6 @@ bool read_env_port(int& port) {
     return false;
   }
   port = static_cast<int>(*n);
-  return true;
-}
-
-bool parse_args(int argc, char** argv, Args& args) {
-  if (argc < 2) return false;
-  args.command = argv[1];
-  int first = 2;
-  if (args.command == "store" || args.command == "client") {
-    if (argc < 3 || argv[2][0] == '-') return false;
-    args.subcommand = argv[2];
-    first = 3;
-  }
-  for (int i = first; i < argc; ++i) {
-    std::string flag = argv[i];
-    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    // The next argument as a strict count in [min, max]; says why if not.
-    auto count = [&](size_t min, size_t max) {
-      const char* v = next();
-      std::optional<size_t> n = parse_count(v, min, max);
-      if (!n) {
-        std::fprintf(stderr, "%s expects an integer in [%zu, %zu], got '%s'\n", flag.c_str(),
-                     min, max, v ? v : "");
-      }
-      return n;
-    };
-    // The next argument as a finite real >= 0; says why if not.
-    auto real = [&]() {
-      const char* v = next();
-      std::optional<double> x = parse_nonneg_real(v);
-      if (!x) {
-        std::fprintf(stderr, "%s expects a finite number >= 0, got '%s'\n", flag.c_str(),
-                     v ? v : "");
-      }
-      return x;
-    };
-    if (flag == "--country") {
-      const char* v = next();
-      if (!v) return false;
-      args.countries.push_back(v);
-    } else if (flag == "--site") {
-      const char* v = next();
-      if (!v) return false;
-      args.site = v;
-    } else if (flag == "--out") {
-      const char* v = next();
-      if (!v) return false;
-      args.out = v;
-    } else if (flag == "--seed") {
-      auto n = count(0, std::numeric_limits<uint64_t>::max());
-      if (!n) return false;
-      args.seed = *n;
-    } else if (flag == "--metrics-out") {
-      const char* v = next();
-      if (!v) return false;
-      args.metrics_out = v;
-    } else if (flag == "--jobs") {
-      auto n = count(0, std::numeric_limits<size_t>::max());
-      if (!n) return false;
-      args.jobs = *n;
-    } else if (flag == "--fault-plan") {
-      const char* v = next();
-      if (!v) return false;
-      args.fault_plan = v;
-    } else if (flag == "--checkpoint") {
-      const char* v = next();
-      if (!v) return false;
-      args.checkpoint = v;
-    } else if (flag == "--store-out") {
-      const char* v = next();
-      if (!v) return false;
-      args.store_out = v;
-    } else if (flag == "--countries") {
-      auto n = count(1, kMaxScaleCountries);
-      if (!n) return false;
-      args.scale_countries = *n;
-    } else if (flag == "--sites") {
-      auto n = count(1, kMaxScaleSites);
-      if (!n) return false;
-      args.scale_sites = *n;
-    } else if (flag == "--shard-dir") {
-      const char* v = next();
-      if (!v) return false;
-      args.shard_dir = v;
-    } else if (flag == "--trace-out") {
-      const char* v = next();
-      if (!v) return false;
-      args.trace_out = v;
-    } else if (flag == "--trace-jsonl") {
-      const char* v = next();
-      if (!v) return false;
-      args.trace_jsonl = v;
-    } else if (flag == "--log-json") {
-      const char* v = next();
-      if (!v) return false;
-      args.log_json = v;
-    } else if (flag == "--resume") {
-      args.resume = true;
-    } else if (flag == "--table") {
-      const char* v = next();
-      if (!v) return false;
-      args.table = v;
-    } else if (flag == "--where") {
-      const char* v = next();
-      if (!v) return false;
-      args.wheres.push_back(v);
-    } else if (flag == "--group-by") {
-      const char* v = next();
-      if (!v) return false;
-      args.group_by = v;
-    } else if (flag == "--report") {
-      const char* v = next();
-      if (!v) return false;
-      args.report = v;
-    } else if (flag == "--flows") {
-      args.flows = true;
-    } else if (flag == "--limit") {
-      auto n = count(0, std::numeric_limits<size_t>::max());
-      if (!n) return false;
-      args.limit = *n;
-    } else if (flag == "--host") {
-      const char* v = next();
-      if (!v) return false;
-      args.host = v;
-    } else if (flag == "--port") {
-      auto n = count(0, kMaxPort);
-      if (!n) return false;
-      args.port = static_cast<int>(*n);
-    } else if (flag == "--socket") {
-      const char* v = next();
-      if (!v) return false;
-      args.socket_path = v;
-    } else if (flag == "--store") {
-      const char* v = next();
-      if (!v) return false;
-      args.serve_store = v;
-    } else if (flag == "--port-file") {
-      const char* v = next();
-      if (!v) return false;
-      args.port_file = v;
-    } else if (flag == "--workers") {
-      auto n = count(0, std::numeric_limits<size_t>::max());
-      if (!n) return false;
-      args.workers = *n;
-    } else if (flag == "--queue") {
-      auto n = count(0, std::numeric_limits<size_t>::max());
-      if (!n) return false;
-      args.queue = *n;
-    } else if (flag == "--reactors") {
-      auto n = count(0, std::numeric_limits<size_t>::max());
-      if (!n) return false;
-      args.reactors = *n;
-    } else if (flag == "--chunk-bytes") {
-      auto n = count(0, std::numeric_limits<size_t>::max());
-      if (!n) return false;
-      args.chunk_bytes = *n;
-    } else if (flag == "--rate") {
-      auto x = real();
-      if (!x) return false;
-      args.rate = *x;
-    } else if (flag == "--burst") {
-      auto x = real();
-      if (!x) return false;
-      args.burst = *x;
-    } else if (flag == "--retry") {
-      auto n = count(0, std::numeric_limits<int>::max());
-      if (!n) return false;
-      args.retry = static_cast<int>(*n);
-    } else if (flag == "--retry-base-ms") {
-      auto x = real();
-      if (!x) return false;
-      args.retry_base_ms = *x;
-    } else if (flag == "--retry-max-ms") {
-      auto x = real();
-      if (!x) return false;
-      args.retry_max_ms = *x;
-    } else if (flag == "--retry-deadline-ms") {
-      auto x = real();
-      if (!x) return false;
-      args.retry_deadline_ms = *x;
-    } else if (flag == "--slow-ms") {
-      auto x = real();
-      if (!x) return false;
-      args.slow_ms = *x;
-    } else if (flag == "--slow-log") {
-      const char* v = next();
-      if (!v) return false;
-      args.slow_log = v;
-    } else if (flag == "--job") {
-      auto n = count(0, std::numeric_limits<uint64_t>::max());
-      if (!n) return false;
-      args.job = *n;
-    } else if (flag == "--progress") {
-      args.progress = true;
-    } else if (flag == "--once") {
-      args.once = true;
-    } else if (flag == "--json") {
-      args.json_out = true;
-    } else if (flag == "--interval-ms") {
-      auto x = real();
-      if (!x) return false;
-      args.interval_ms = *x;
-    } else if (!flag.empty() && flag[0] != '-' && args.command == "slowlog" &&
-               args.slowlog_file.empty()) {
-      args.slowlog_file = flag;  // positional FILE for `gamma slowlog`
-    } else if (!flag.empty() && flag[0] != '-' && args.command == "store") {
-      // Positional FILE.gmst args: `store query FILE`, `store merge OUT SHARD...`.
-      if (args.store_file.empty()) args.store_file = flag;
-      args.store_files.push_back(flag);
-    } else if (!flag.empty() && flag[0] != '-' && args.command == "trace" &&
-               args.trace_file.empty()) {
-      args.trace_file = flag;  // positional FILE for `gamma trace`
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
-      return false;
-    }
-  }
   return true;
 }
 
@@ -546,35 +203,10 @@ util::Json analysis_summary(const analysis::CountryAnalysis& a) {
   return doc;
 }
 
-int cmd_run(const Args& args) {
-  if (args.countries.size() != 1 || !world::is_source_country(args.countries[0])) {
-    std::fprintf(stderr, "run: need exactly one --country from the 23 measured\n");
-    return 1;
-  }
-  if (!args.out.empty() && !make_out_dir("run", args.out)) return 1;
-  auto world = worldgen::generate_world({});
-  worldgen::StudyOptions options;
-  options.countries = args.countries;
-  options.seed = args.seed;
-  worldgen::StudyResult study = worldgen::run_study(*world, options);
-  const core::VolunteerDataset& ds = study.datasets.front();
-  std::string json = core::dataset_to_json(ds).dump(2);
-  if (!args.out.empty()) {
-    std::string path = args.out + "/dataset-" + ds.country + ".json";
-    if (!write_file(path, json)) return 1;
-    std::printf("wrote %s (%zu sites, %zu traceroutes)\n", path.c_str(),
-                ds.attempted_sites(), ds.traceroutes_launched());
-  } else {
-    std::printf("%s\n", json.c_str());
-  }
-  return 0;
-}
-
 // Collect the recorded spans and write the requested export files. Each
 // failure is reported once (with errno text, via write_file) and taints the
 // returned rc; a successful study with a failed trace write exits non-zero.
 int export_traces(const Args& args) {
-  if (args.trace_out.empty() && args.trace_jsonl.empty()) return 0;
   std::vector<util::trace::Span> spans = util::trace::Tracer::instance().collect();
   uint64_t dropped = util::trace::Tracer::instance().dropped_spans();
   if (dropped > 0) {
@@ -633,50 +265,38 @@ void print_progress_line(const worldgen::StudyProgress& progress, bool final_lin
   std::fflush(stderr);
 }
 
-int cmd_study(const Args& args) {
-  if (args.scale_countries > 0 && !args.countries.empty()) {
-    std::fprintf(stderr, "study: --countries N (synthetic world) and --country CC "
-                         "(source-country selection) are mutually exclusive\n");
-    return 1;
+// Loads --fault-plan into `plan`, which an absent flag leaves disarmed;
+// false after saying why the file does not hold a plan.
+bool load_fault_plan(const Args& args, std::optional<util::FaultPlan>& plan) {
+  if (args.fault_plan.empty()) return true;
+  plan = util::FaultPlan::load_file(args.fault_plan);
+  if (plan) return true;
+  std::fprintf(stderr,
+               "gamma %s: cannot load fault plan %s (missing, bad JSON, unknown key, or "
+               "probability outside [0,1])\n",
+               args.command.c_str(), args.fault_plan.c_str());
+  return false;
+}
+
+// The study setup `run`, `study` and `store build` share. The request is
+// checked and its fault plan loaded before `out_dir` is made or the world
+// generated, so a refused request does no work and writes nothing; it
+// returns nullopt after saying why. Tracing covers the study itself, not
+// world generation, and the trace files are written right after the run,
+// with `trace_rc` reporting that write, so a later failure in the report
+// path cannot lose them.
+std::optional<worldgen::StudyResult> run_cli_study(const Args& args,
+                                                   worldgen::StudyOptions options,
+                                                   const std::string& out_dir, int& trace_rc) {
+  const char* cmd = args.command.c_str();
+  if (util::Status request = worldgen::check_study_request(args.world, options);
+      !request.ok()) {
+    std::fprintf(stderr, "gamma %s: %s\n", cmd, request.message().c_str());
+    return std::nullopt;
   }
-  if (args.scale_sites > 0 && args.scale_countries == 0) {
-    std::fprintf(stderr, "study: --sites requires --countries N\n");
-    return 1;
-  }
-  if (args.resume && args.checkpoint.empty()) {
-    std::fprintf(stderr, "study: --resume requires --checkpoint DIR\n");
-    return 1;
-  }
-  if (!args.out.empty() && !args.shard_dir.empty()) {
-    std::fprintf(stderr, "study: --out DIR does not apply with --shard-dir DIR (a sharded "
-                         "study keeps no datasets); use --store-out FILE for the merged store\n");
-    return 1;
-  }
-  if (!args.out.empty() && !make_out_dir("study", args.out)) return 1;
-  worldgen::StudyOptions options;
-  options.countries = args.countries;
-  options.seed = args.seed;
-  options.jobs = args.jobs;
-  options.shard_dir = args.shard_dir;
-  if (!args.fault_plan.empty()) {
-    auto plan = util::FaultPlan::load_file(args.fault_plan);
-    if (!plan) {
-      std::fprintf(stderr, "study: cannot load fault plan %s (bad JSON, unknown key,\n"
-                           "or probability outside [0,1])\n", args.fault_plan.c_str());
-      return 1;
-    }
-    options.fault_plan = *plan;
-  }
-  options.checkpoint_dir = args.checkpoint;
-  options.resume = args.resume;
-  options.store_out = args.store_out;
-  worldgen::WorldConfig wcfg;
-  wcfg.scale_countries = args.scale_countries;
-  wcfg.scale_sites = args.scale_sites;
-  auto world = worldgen::generate_world(wcfg);
-  // Tracing covers the study itself, not world generation: spans start at
-  // the first per-country root, and the files are written right after the
-  // run so a later failure in the report path cannot lose them.
+  if (!load_fault_plan(args, options.fault_plan)) return std::nullopt;
+  if (!out_dir.empty() && !make_out_dir(cmd, out_dir)) return std::nullopt;
+  auto world = worldgen::generate_world(args.world);
   bool tracing = !args.trace_out.empty() || !args.trace_jsonl.empty();
   if (tracing) util::trace::set_enabled(true);
   // --progress: GammaPulse observer + a poll thread that redraws one stderr
@@ -710,48 +330,73 @@ int cmd_study(const Args& args) {
     throw;
   }
   finish_progress(true);
-  int trace_rc = 0;
   if (tracing) {
     util::trace::set_enabled(false);
     trace_rc = export_traces(args);
   }
+  return study;
+}
 
-  if (!options.shard_dir.empty()) {
+int cmd_run(const Args& args) {
+  if (args.study.countries.size() != 1) {
+    std::fprintf(stderr, "gamma run: need exactly one --country\n");
+    return 1;
+  }
+  int rc = 0;
+  std::optional<worldgen::StudyResult> study = run_cli_study(args, args.study, args.out, rc);
+  if (!study) return 1;
+  const core::VolunteerDataset& ds = study->datasets.front();
+  std::string json = core::dataset_to_json(ds).dump(2);
+  if (!args.out.empty()) {
+    std::string path = args.out + "/dataset-" + ds.country + ".json";
+    if (!write_file(path, json)) return 1;
+    std::printf("wrote %s (%zu sites, %zu traceroutes)\n", path.c_str(),
+                ds.attempted_sites(), ds.traceroutes_launched());
+  } else {
+    std::printf("%s\n", json.c_str());
+  }
+  return 0;
+}
+
+int cmd_study(const Args& args) {
+  if (!args.out.empty() && !args.study.shard_dir.empty()) {
+    std::fprintf(stderr, "gamma study: --out DIR does not apply with --shard-dir DIR (a sharded "
+                         "study keeps no datasets); use --store-out FILE for the merged store\n");
+    return 1;
+  }
+  int trace_rc = 0;
+  std::optional<worldgen::StudyResult> study =
+      run_cli_study(args, args.study, args.out, trace_rc);
+  if (!study) return 1;
+  auto print_degraded = [&] {
+    if (study->degraded_countries.empty()) return;
+    std::printf("degraded (partial coverage): %s\n",
+                util::join(study->degraded_countries, " ").c_str());
+  };
+
+  if (!args.study.shard_dir.empty()) {
     // GammaShard mode: per-country results live on disk, not in memory, so
     // the in-memory report path does not apply.
-    std::printf("%zu shards published to %s\n", study.countries(), args.shard_dir.c_str());
-    if (study.shards_reused > 0) {
-      std::printf("reused %zu intact shards from checkpoint\n", study.shards_reused);
+    std::printf("%zu shards published to %s\n", study->countries(),
+                args.study.shard_dir.c_str());
+    if (study->shards_reused > 0) {
+      std::printf("reused %zu intact shards from checkpoint\n", study->shards_reused);
     }
-    if (!study.degraded_countries.empty()) {
-      std::string list;
-      for (const auto& c : study.degraded_countries) {
-        if (!list.empty()) list += " ";
-        list += c;
-      }
-      std::printf("degraded (partial coverage): %s\n", list.c_str());
-    }
-    if (!args.store_out.empty()) {
-      std::printf("merged store: %s\n", args.store_out.c_str());
+    print_degraded();
+    if (!args.study.store_out.empty()) {
+      std::printf("merged store: %s\n", args.study.store_out.c_str());
     }
     return trace_rc;
   }
 
-  analysis::PrevalenceReport prev = analysis::compute_prevalence(study.analyses);
-  analysis::FlowsReport flows = analysis::compute_flows(study.analyses);
+  analysis::PrevalenceReport prev = analysis::compute_prevalence(study->analyses);
+  analysis::FlowsReport flows = analysis::compute_flows(study->analyses);
   std::printf("%zu countries measured; %zu sites with non-local trackers\n",
-              study.countries(), flows.sites_with_nonlocal);
-  if (study.resumed_countries > 0) {
-    std::printf("resumed %zu countries from checkpoint\n", study.resumed_countries);
+              study->countries(), flows.sites_with_nonlocal);
+  if (study->resumed_countries > 0) {
+    std::printf("resumed %zu countries from checkpoint\n", study->resumed_countries);
   }
-  if (!study.degraded_countries.empty()) {
-    std::string list;
-    for (const auto& c : study.degraded_countries) {
-      if (!list.empty()) list += " ";
-      list += c;
-    }
-    std::printf("degraded (partial coverage): %s\n", list.c_str());
-  }
+  print_degraded();
   std::printf("prevalence: reg %.1f%% gov %.1f%% (pearson %.2f)\n", prev.mean_reg,
               prev.mean_gov, prev.pearson_reg_gov);
   auto ranked = flows.ranked_destinations();
@@ -761,21 +406,21 @@ int cmd_study(const Args& args) {
   }
   if (args.out.empty()) return trace_rc;
 
-  for (size_t i = 0; i < study.datasets.size(); ++i) {
-    const auto& ds = study.datasets[i];
+  for (size_t i = 0; i < study->datasets.size(); ++i) {
+    const auto& ds = study->datasets[i];
     if (!write_file(args.out + "/dataset-" + ds.country + ".json",
                     core::dataset_to_json(ds).dump(2))) {
       return 1;
     }
     if (!write_file(args.out + "/analysis-" + ds.country + ".json",
-                    analysis_summary(study.analyses[i]).dump(2))) {
+                    analysis_summary(study->analyses[i]).dump(2))) {
       return 1;
     }
   }
-  util::Json summary = analysis::study_summary_json(study.analyses.size(), prev, flows);
+  util::Json summary = analysis::study_summary_json(study->analyses.size(), prev, flows);
   if (!write_file(args.out + "/study-summary.json", summary.dump(2))) return 1;
   std::printf("wrote %zu datasets + analyses + study-summary.json to %s\n",
-              study.datasets.size(), args.out.c_str());
+              study->datasets.size(), args.out.c_str());
   return trace_rc;
 }
 
@@ -783,14 +428,15 @@ int cmd_study(const Args& args) {
 // print the aggregate report: per-category self/total time, per-country
 // critical path, slowest sites, merged flame stacks.
 int cmd_trace(const Args& args) {
-  if (args.trace_file.empty()) {
+  if (args.files.empty()) {
     std::fprintf(stderr, "trace: need a trace FILE (--trace-out or --trace-jsonl output)\n");
     return 1;
   }
+  const std::string& file = args.files[0];
   errno = 0;
-  std::ifstream in(args.trace_file, std::ios::binary);
+  std::ifstream in(file, std::ios::binary);
   if (!in) {
-    std::fprintf(stderr, "trace: cannot read %s: %s\n", args.trace_file.c_str(),
+    std::fprintf(stderr, "trace: cannot read %s: %s\n", file.c_str(),
                  errno != 0 ? std::strerror(errno) : "stream open failed");
     return 1;
   }
@@ -798,7 +444,7 @@ int cmd_trace(const Args& args) {
   auto spans = util::trace::parse_spans(text);
   if (!spans) {
     std::fprintf(stderr, "trace: %s is neither a Chrome trace-event file nor span JSONL\n",
-                 args.trace_file.c_str());
+                 file.c_str());
     return 1;
   }
   size_t top_n = args.limit == 0 ? 10 : args.limit;
@@ -812,69 +458,54 @@ int cmd_trace(const Args& args) {
   return 0;
 }
 
-// `gamma store build` — run the study once and serialize its analysis
-// substrate; `gamma store query` — mapped-store scans and paper reports.
-// Structured store errors (crc_mismatch, bad_magic, ...) go to stderr and
-// exit non-zero; a corrupted store is a diagnosis, never a crash.
-int cmd_store(const Args& args) {
-  if (args.subcommand == "build") {
-    if (args.out.empty()) {
-      std::fprintf(stderr, "store build: need --out FILE.gmst\n");
-      return 1;
-    }
-    if (args.scale_sites > 0 && args.scale_countries == 0) {
-      std::fprintf(stderr, "store build: --sites requires --countries N\n");
-      return 1;
-    }
-    worldgen::WorldConfig wcfg;
-    wcfg.scale_countries = args.scale_countries;
-    wcfg.scale_sites = args.scale_sites;
-    auto world = worldgen::generate_world(wcfg);
-    worldgen::StudyOptions options;
-    options.countries = args.countries;
-    options.seed = args.seed;
-    options.jobs = args.jobs;
-    options.store_out = args.out;
-    options.shard_dir = args.shard_dir;
-    options.checkpoint_dir = args.checkpoint;
-    options.resume = args.resume;
-    worldgen::StudyResult study = worldgen::run_study(*world, options);
-    std::printf("wrote %s (%zu countries)\n", args.out.c_str(), study.countries());
-    return 0;
-  }
-  if (args.subcommand == "merge") {
-    // `gamma store merge OUT.gmst SHARD...` — deterministic, order-insensitive
-    // merge; every input CRC is re-verified and a torn or foreign file is a
-    // structured error, never a corrupt output.
-    if (args.store_files.size() < 2) {
-      std::fprintf(stderr, "store merge: need OUT.gmst and at least one SHARD.gmst\n");
-      return 1;
-    }
-    std::vector<std::string> shards(args.store_files.begin() + 1,
-                                    args.store_files.end());
-    store::MergeResult merged = store::merge_shards(args.store_files[0], shards);
-    if (!merged.ok()) {
-      std::fprintf(stderr, "store merge: %s\n", merged.error.to_string().c_str());
-      return 1;
-    }
-    std::printf("merged %zu shards into %s (%zu bytes)\n", merged.shards,
-                args.store_files[0].c_str(),
-                static_cast<size_t>(merged.bytes_written));
-    return 0;
-  }
-  if (args.subcommand != "query") {
-    std::fprintf(stderr, "store: unknown subcommand '%s' (build|query|merge)\n",
-                 args.subcommand.c_str());
+// `gamma store build` — the study setup of `gamma study --store-out F`,
+// with `--out F` naming the store.
+int cmd_store_build(const Args& args) {
+  if (args.out.empty()) {
+    std::fprintf(stderr, "gamma store build: need --out FILE.gmst\n");
     return 1;
   }
-  if (args.store_file.empty()) {
+  worldgen::StudyOptions options = args.study;
+  options.store_out = args.out;
+  int trace_rc = 0;
+  std::optional<worldgen::StudyResult> study =
+      run_cli_study(args, std::move(options), "", trace_rc);
+  if (!study) return 1;
+  std::printf("wrote %s (%zu countries)\n", args.out.c_str(), study->countries());
+  return trace_rc;
+}
+
+// `gamma store merge OUT.gmst SHARD...` — deterministic, order-insensitive
+// merge; every input CRC is re-verified and a torn or foreign file is a
+// structured error, never a corrupt output.
+int cmd_store_merge(const Args& args) {
+  if (args.files.size() < 2) {
+    std::fprintf(stderr, "store merge: need OUT.gmst and at least one SHARD.gmst\n");
+    return 1;
+  }
+  std::vector<std::string> shards(args.files.begin() + 1, args.files.end());
+  store::MergeResult merged = store::merge_shards(args.files[0], shards);
+  if (!merged.ok()) {
+    std::fprintf(stderr, "store merge: %s\n", merged.error.to_string().c_str());
+    return 1;
+  }
+  std::printf("merged %zu shards into %s (%zu bytes)\n", merged.shards, args.files[0].c_str(),
+              static_cast<size_t>(merged.bytes_written));
+  return 0;
+}
+
+// `gamma store query FILE` — mapped-store scans and paper reports.
+// Structured store errors (crc_mismatch, bad_magic, ...) go to stderr and
+// exit non-zero; a corrupted store is a diagnosis, never a crash.
+int cmd_store_query(const Args& args) {
+  if (args.files.empty()) {
     std::fprintf(stderr, "store query: need a FILE.gmst argument\n");
     return 1;
   }
   store::Error error;
-  std::unique_ptr<store::Reader> reader = store::Reader::open(args.store_file, &error);
+  std::unique_ptr<store::Reader> reader = store::Reader::open(args.files[0], &error);
   if (!reader) {
-    std::fprintf(stderr, "store query: cannot open %s: %s\n", args.store_file.c_str(),
+    std::fprintf(stderr, "store query: cannot open %s: %s\n", args.files[0].c_str(),
                  error.to_string().c_str());
     return 1;
   }
@@ -896,15 +527,7 @@ int cmd_store(const Args& args) {
       return 1;
     }
     spec.table = *table;
-    for (const std::string& w : args.wheres) {
-      size_t eq = w.find('=');
-      if (eq == std::string::npos || eq == 0) {
-        std::fprintf(stderr, "store query: --where expects col=value, got '%s'\n",
-                     w.c_str());
-        return 1;
-      }
-      spec.where.emplace_back(w.substr(0, eq), w.substr(eq + 1));
-    }
+    spec.where = args.wheres;
     spec.group_by = args.group_by;
     spec.flows = args.flows;
     spec.limit = args.limit;
@@ -935,33 +558,14 @@ volatile std::sig_atomic_t g_stop_signal = 0;
 void on_stop_signal(int sig) { g_stop_signal = sig; }
 
 int cmd_serve(const Args& args) {
-  serve::ServerOptions options;
-  options.host = args.host;
-  options.unix_path = args.socket_path;
-  options.workers = args.workers == 0 ? 1 : args.workers;
-  options.max_queue = args.queue;
-  options.reactors = args.reactors == 0 ? 1 : args.reactors;
-  if (args.chunk_bytes > 0) options.chunk_bytes = args.chunk_bytes;
-  options.rate_limit = args.rate;
-  options.rate_burst = args.burst;
-  options.slow_ms = args.slow_ms;
-  options.slow_log = args.slow_log;
-  options.service.store_path = args.serve_store;
-  options.service.checkpoint_dir = args.checkpoint;
-  if (!args.fault_plan.empty()) {
-    auto plan = util::FaultPlan::load_file(args.fault_plan);
-    if (!plan) {
-      std::fprintf(stderr,
-                   "serve: cannot load fault plan '%s' (missing, bad JSON, "
-                   "or probability outside [0,1])\n", args.fault_plan.c_str());
-      return 1;
-    }
-    options.service.fault_plan = *plan;
-  }
+  // --workers 0 and --reactors 0 mean one: the server clamps both.
+  serve::ServerOptions options = args.server;
+  options.service.checkpoint_dir = args.study.checkpoint_dir;
+  if (!load_fault_plan(args, options.service.fault_plan)) return 1;
   // Only a TCP daemon reads GAMMA_SERVE_PORT; a --socket one has no port.
   if (args.port >= 0) {
     options.port = args.port;
-  } else if (args.socket_path.empty() && !read_env_port(options.port)) {
+  } else if (options.unix_path.empty() && !read_env_port(options.port)) {
     return 2;
   }  // else ephemeral (0): the GAMMA_SERVE_PORT=0 convention is the default
 
@@ -974,10 +578,10 @@ int cmd_serve(const Args& args) {
       !write_file(args.port_file, std::to_string((*server)->port()) + "\n")) {
     return 1;
   }
-  if (!args.socket_path.empty()) {
-    std::printf("listening on %s\n", args.socket_path.c_str());
+  if (!args.server.unix_path.empty()) {
+    std::printf("listening on %s\n", args.server.unix_path.c_str());
   } else {
-    std::printf("listening on %s:%u\n", args.host.c_str(), (*server)->port());
+    std::printf("listening on %s:%u\n", args.server.host.c_str(), (*server)->port());
   }
   std::fflush(stdout);
 
@@ -1007,12 +611,9 @@ int cmd_serve(const Args& args) {
 // other failure.
 std::unique_ptr<serve::Client> dial_client(const Args& args, int& rc) {
   rc = 1;
-  util::RetryPolicy retry_policy;
-  retry_policy.max_attempts = args.retry;
-  retry_policy.base_delay_ms = args.retry_base_ms;
-  retry_policy.max_delay_ms = std::max(args.retry_max_ms, args.retry_base_ms);
-  retry_policy.deadline_ms = args.retry_deadline_ms;
-  const bool healing = args.retry > 1;
+  util::RetryPolicy retry_policy = args.retry;
+  retry_policy.max_delay_ms = std::max(retry_policy.max_delay_ms, retry_policy.base_delay_ms);
+  const bool healing = retry_policy.max_attempts > 1;
 
   auto dial = [&](auto&& connect) -> std::unique_ptr<serve::Client> {
     util::Rng rng;
@@ -1030,8 +631,8 @@ std::unique_ptr<serve::Client> dial_client(const Args& args, int& rc) {
   };
 
   std::unique_ptr<serve::Client> client;
-  if (!args.socket_path.empty()) {
-    client = dial([&] { return serve::Client::connect_unix(args.socket_path); });
+  if (!args.server.unix_path.empty()) {
+    client = dial([&] { return serve::Client::connect_unix(args.server.unix_path); });
     if (!client) return nullptr;
   } else {
     int port = args.port;
@@ -1068,7 +669,7 @@ std::unique_ptr<serve::Client> dial_client(const Args& args, int& rc) {
       return nullptr;
     }
     client = dial([&] {
-      return serve::Client::connect_tcp(args.host, static_cast<uint16_t>(port));
+      return serve::Client::connect_tcp(args.server.host, static_cast<uint16_t>(port));
     });
     if (!client) return nullptr;
   }
@@ -1087,23 +688,18 @@ int cmd_client(const Args& args) {
   std::string kind = args.subcommand;
   util::Json params = util::Json::object();
   if (kind == "query") {
-    if (!args.serve_store.empty()) params["store"] = args.serve_store;
+    const std::string& store = args.server.service.store_path;
+    if (!store.empty()) params["store"] = store;
     if (!args.report.empty()) {
       params["report"] = args.report;
     } else {
       params["table"] = args.table;
       if (!args.wheres.empty()) {
         util::Json where = util::Json::array();
-        for (const std::string& w : args.wheres) {
-          size_t eq = w.find('=');
-          if (eq == std::string::npos || eq == 0) {
-            std::fprintf(stderr, "client query: --where expects col=value, got '%s'\n",
-                         w.c_str());
-            return 1;
-          }
+        for (const auto& [column, value] : args.wheres) {
           util::Json pred = util::Json::array();
-          pred.push_back(w.substr(0, eq));
-          pred.push_back(w.substr(eq + 1));
+          pred.push_back(column);
+          pred.push_back(value);
           where.push_back(std::move(pred));
         }
         params["where"] = std::move(where);
@@ -1114,24 +710,17 @@ int cmd_client(const Args& args) {
     }
   } else if (kind == "submit" || kind == "submit_study") {
     kind = "submit_study";
-    params["seed"] = args.seed;
-    params["jobs"] = args.jobs;
-    if (!args.countries.empty()) {
+    params["seed"] = args.study.seed;
+    params["jobs"] = args.study.jobs;
+    if (!args.study.countries.empty()) {
       util::Json countries = util::Json::array();
-      for (const std::string& c : args.countries) countries.push_back(c);
+      for (const std::string& c : args.study.countries) countries.push_back(c);
       params["countries"] = std::move(countries);
     }
-    if (!args.store_out.empty()) params["store_out"] = args.store_out;
-    if (!args.shard_dir.empty()) params["shard_dir"] = args.shard_dir;
+    if (!args.study.store_out.empty()) params["store_out"] = args.study.store_out;
+    if (!args.study.shard_dir.empty()) params["shard_dir"] = args.study.shard_dir;
   } else if (kind == "study_status") {
     if (args.job > 0) params["job"] = static_cast<double>(args.job);
-  } else if (kind != "ping" && kind != "health" && kind != "stats" &&
-             kind != "shutdown") {
-    std::fprintf(stderr,
-                 "client: unknown kind '%s' "
-                 "(ping|health|stats|shutdown|query|submit|study_status)\n",
-                 kind.c_str());
-    return 1;
   }
 
   auto reply = client->call(kind, std::move(params));
@@ -1335,7 +924,7 @@ int cmd_top(const Args& args) {
     prev_requests = requests;
     prev_time = now;
 
-    if (args.json_out) {
+    if (args.json) {
       std::printf("%s\n", sample.dump(args.once ? 2 : -1).c_str());
     } else {
       render_top(sample, /*clear_screen=*/!args.once);
@@ -1353,14 +942,14 @@ int cmd_top(const Args& args) {
 // record schema; any malformed line is reported and exits non-zero. This is
 // the assertion tool behind check.sh's observability arm.
 int cmd_slowlog(const Args& args) {
-  if (args.slowlog_file.empty()) {
+  if (args.files.empty()) {
     std::fprintf(stderr, "slowlog: need a --slow-log FILE argument\n");
     return 1;
   }
   errno = 0;
-  std::ifstream in(args.slowlog_file, std::ios::binary);
+  std::ifstream in(args.files[0], std::ios::binary);
   if (!in) {
-    std::fprintf(stderr, "slowlog: cannot read %s: %s\n", args.slowlog_file.c_str(),
+    std::fprintf(stderr, "slowlog: cannot read %s: %s\n", args.files[0].c_str(),
                  errno != 0 ? std::strerror(errno) : "stream open failed");
     return 1;
   }
@@ -1422,7 +1011,7 @@ int cmd_slowlog(const Args& args) {
     top["id"] = slowest.get_number("id");
     summary["slowest"] = std::move(top);
   }
-  if (args.json_out) {
+  if (args.json) {
     std::printf("%s\n", summary.dump(2).c_str());
   } else {
     std::printf("%zu records, %zu malformed, %zu undelivered\n", records,
@@ -1440,20 +1029,25 @@ int cmd_slowlog(const Args& args) {
 }
 
 int cmd_har(const Args& args) {
-  if (args.site.empty() || args.countries.size() != 1) {
+  if (args.site.empty() || args.study.countries.size() != 1) {
     std::fprintf(stderr, "har: need --site DOMAIN and exactly one --country CC\n");
     return 1;
   }
-  auto world = worldgen::generate_world({});
+  if (util::Status request = worldgen::check_study_request(args.world, args.study);
+      !request.ok()) {
+    std::fprintf(stderr, "gamma har: %s\n", request.message().c_str());
+    return 1;
+  }
+  auto world = worldgen::generate_world(args.world);
   const web::Website* site = world->universe.find(args.site);
   if (!site) {
     std::fprintf(stderr, "unknown site: %s\n", args.site.c_str());
     return 1;
   }
-  const core::VolunteerProfile& vol = world->volunteer(args.countries[0]);
+  const core::VolunteerProfile& vol = world->volunteer(args.study.countries[0]);
   web::Browser browser(world->universe, *world->resolver, world->topology,
                        core::GammaConfig::study_defaults().browser);
-  util::Rng rng(args.seed);
+  util::Rng rng(args.study.seed);
   web::PageLoadRecord rec = browser.load(*site, vol.node, vol.country, 0.0, rng);
   util::Json har = web::to_har(rec);
   if (!web::har_is_valid(har)) {
@@ -1470,8 +1064,7 @@ int cmd_har(const Args& args) {
   return 0;
 }
 
-int cmd_audit(const Args& args) {
-  (void)args;
+int cmd_audit(const Args&) {
   auto world = worldgen::generate_world({});
   std::printf("IPmap stand-in: %zu records, %zu injected errors; auditing as seen from\n"
               "each volunteer vantage point...\n\n",
@@ -1526,14 +1119,353 @@ int write_metrics(const std::string& path) {
   return 0;
 }
 
+// ---------------------------------------------------------------------------
+// The command line. Each command is one bit (`store` and `client` split by
+// subcommand), so a flag can name the commands that read it.
+
+enum : uint32_t {
+  kRun = 1u << 0,
+  kStudy = 1u << 1,
+  kStoreBuild = 1u << 2,
+  kStoreQuery = 1u << 3,
+  kStoreMerge = 1u << 4,
+  kServe = 1u << 5,
+  kClientControl = 1u << 6,
+  kClientQuery = 1u << 7,
+  kClientSubmit = 1u << 8,
+  kClientStatus = 1u << 9,
+  kTop = 1u << 10,
+  kSlowlog = 1u << 11,
+  kHar = 1u << 12,
+  kAudit = 1u << 13,
+  kTrace = 1u << 14,
+  kEvery = (1u << 15) - 1,
+};
+constexpr uint32_t kStudies = kStudy | kStoreBuild;  // the flags of run_cli_study
+constexpr uint32_t kQueries = kStoreQuery | kClientQuery;
+constexpr uint32_t kClients = kClientControl | kClientQuery | kClientSubmit | kClientStatus;
+constexpr uint32_t kDialers = kClients | kTop;  // the flags of dial_client
+
+struct Command {
+  const char* name;   // the command word, then its subcommands joined by '|'
+  uint32_t bit;
+  int (*run)(const Args&);
+  const char* files;  // its positional arguments, for usage ("" = none)
+  size_t max_files;
+  const char* about;
+};
+
+constexpr Command kCommands[] = {
+    {"run", kRun, cmd_run, "", 0,
+     "one volunteer session (one --country): the dataset JSON it mails back"},
+    {"study", kStudy, cmd_study, "", 0,
+     "the full study: per-country datasets and analyses, and the summary"},
+    {"store build", kStoreBuild, cmd_store_build, "", 0,
+     "the study of `study --store-out FILE.gmst`, with --out naming the store"},
+    {"store query", kStoreQuery, cmd_store_query, "FILE.gmst", 1,
+     "paper reports and ad-hoc scans over the mapped store"},
+    {"store merge", kStoreMerge, cmd_store_merge, "OUT.gmst SHARD.gmst...", SIZE_MAX,
+     "merge a shard set into the store an unsharded build writes, CRCs re-verified"},
+    {"serve", kServe, cmd_serve, "", 0,
+     "daemon: studies and store queries over a JSON socket; SIGTERM drains"},
+    {"client ping|health|stats|shutdown", kClientControl, cmd_client, "", 0,
+     "one control request to a running daemon"},
+    {"client query", kClientQuery, cmd_client, "", 0,
+     "a `store query` answered by the daemon, byte-identical"},
+    {"client submit|submit_study", kClientSubmit, cmd_client, "", 0,
+     "a study run by the daemon; --retry never re-sends it"},
+    {"client study_status", kClientStatus, cmd_client, "", 0,
+     "a submitted study's per-country progress"},
+    {"top", kTop, cmd_top, "", 0,
+     "live dashboard over a daemon: qps, p50/p99 per kind, queue, study progress"},
+    {"slowlog", kSlowlog, cmd_slowlog, "FILE", 1,
+     "validate a --slow-log file against the DESIGN §14 schema and summarize it"},
+    {"har", kHar, cmd_har, "", 0, "one site loaded from one country, exported as HAR 1.2"},
+    {"audit", kAudit, cmd_audit, "", 0,
+     "the geolocation verdict on every injected IPmap error"},
+    {"trace", kTrace, cmd_trace, "FILE", 1,
+     "time per category, critical paths and slowest sites of a recorded trace"},
+};
+
+// The field a flag sets. Its type picks the parser: text, repeated text,
+// repeated COL=VAL, a strict count in [min, max], a strict non-negative
+// real, or a switch.
+template <class T>
+using FieldOf = T& (*)(Args&);
+using Field = std::variant<FieldOf<std::string>, FieldOf<std::vector<std::string>>,
+                           FieldOf<Predicates>, FieldOf<size_t>, FieldOf<int>, FieldOf<double>,
+                           FieldOf<bool>>;
+
+struct Flag {
+  const char* name;
+  const char* value;  // the value's name in usage ("" for a switch)
+  uint32_t commands;  // the commands that read it
+  Field field;
+  const char* help;
+  size_t min = 0;     // counts only
+  size_t max = 0;
+};
+
+constexpr size_t kMaxCount = std::numeric_limits<size_t>::max();
+
+const Flag kFlags[] = {
+    // The study request.
+    {"--country", "CC", kRun | kStudies | kClientSubmit | kHar,
+     [](Args& a) -> auto& { return a.study.countries; },
+     "measure this vantage country; repeatable (default: all)"},
+    {"--seed", "N", kRun | kStudies | kClientSubmit | kHar,
+     [](Args& a) -> auto& { return a.study.seed; }, "study seed", 0, kMaxCount},
+    {"--jobs", "N", kStudies | kClientSubmit, [](Args& a) -> auto& { return a.study.jobs; },
+     "worker threads, 0 = one per core", 0, kMaxCount},
+    {"--countries", "N", kStudies, [](Args& a) -> auto& { return a.world.scale_countries; },
+     "use N synthetic countries V00, V01, ..., not the 23", 1, kMaxScaleCountries},
+    {"--sites", "N", kStudies, [](Args& a) -> auto& { return a.world.scale_sites; },
+     "total site budget of the --countries N world", 1, kMaxScaleSites},
+    {"--shard-dir", "DIR", kStudies | kClientSubmit,
+     [](Args& a) -> auto& { return a.study.shard_dir; },
+     "stream each country to DIR/shard-<i>-<CC>.gmst; a sharded\n"
+     "study keeps no datasets, so `study` refuses --out"},
+    {"--store-out", "FILE", kStudy | kClientSubmit,
+     [](Args& a) -> auto& { return a.study.store_out; },
+     "also write the study's GMST store (with --shard-dir:\nthe shards merged)"},
+    {"--fault-plan", "FILE", kStudies | kServe, [](Args& a) -> auto& { return a.fault_plan; },
+     "arm the fault plane with a JSON plan (DESIGN §8)"},
+    {"--checkpoint", "DIR", kStudies | kServe,
+     [](Args& a) -> auto& { return a.study.checkpoint_dir; },
+     "journal each finished country to DIR/study-<seed>.jsonl"},
+    {"--resume", "", kStudies, [](Args& a) -> auto& { return a.study.resume; },
+     "reuse what --checkpoint DIR journaled; same output"},
+    {"--progress", "", kStudies, [](Args& a) -> auto& { return a.progress; },
+     "redraw a per-country progress line on stderr"},
+    {"--trace-out", "FILE", kStudies, [](Args& a) -> auto& { return a.trace_out; },
+     "the study's Chrome trace-event JSON (open in Perfetto)"},
+    {"--trace-jsonl", "FILE", kStudies, [](Args& a) -> auto& { return a.trace_jsonl; },
+     "the simulated-time span stream, same for any --jobs"},
+    {"--out", "PATH", kRun | kStudies | kQueries | kClients | kHar | kTrace,
+     [](Args& a) -> auto& { return a.out; },
+     "run, study: the output DIR (made first); store build:\n"
+     "the store; otherwise the FILE written instead of stdout"},
+    {"--site", "DOMAIN", kHar, [](Args& a) -> auto& { return a.site; }, "the site to load"},
+    // Store queries, direct or served.
+    {"--report", "R", kQueries, [](Args& a) -> auto& { return a.report; },
+     "summary|prevalence|policy|per-site|flows|coverage|funnel"},
+    {"--table", "T", kQueries, [](Args& a) -> auto& { return a.table; },
+     "countries|sites|hits"},
+    {"--where", "COL=VAL", kQueries, [](Args& a) -> auto& { return a.wheres; },
+     "keep rows whose COL is VAL; repeatable, ANDed"},
+    {"--group-by", "COL", kQueries, [](Args& a) -> auto& { return a.group_by; },
+     "count rows per COL value"},
+    {"--flows", "", kQueries, [](Args& a) -> auto& { return a.flows; },
+     "source -> destination country flows of the matched rows"},
+    {"--limit", "N", kQueries | kTrace, [](Args& a) -> auto& { return a.limit; },
+     "at most N rows, 0 = all (trace: the N slowest, 0 = 10)", 0, kMaxCount},
+    // The daemon and its clients.
+    {"--host", "H", kServe | kDialers, [](Args& a) -> auto& { return a.server.host; },
+     "listen / dial address"},
+    {"--port", "P", kServe | kDialers, [](Args& a) -> auto& { return a.port; },
+     "TCP port, 0 = ephemeral; unset: GAMMA_SERVE_PORT", 0, kMaxPort},
+    {"--port-file", "FILE", kServe | kDialers, [](Args& a) -> auto& { return a.port_file; },
+     "serve writes its bound port there; client and top read it"},
+    {"--socket", "PATH", kServe | kDialers, [](Args& a) -> auto& { return a.server.unix_path; },
+     "AF_UNIX socket instead of TCP"},
+    {"--store", "FILE.gmst", kServe | kClientQuery,
+     [](Args& a) -> auto& { return a.server.service.store_path; },
+     "serve: the default store; client query: the store to ask"},
+    {"--workers", "N", kServe, [](Args& a) -> auto& { return a.server.workers; },
+     "worker threads, 0 = 1", 0, kMaxCount},
+    {"--queue", "N", kServe, [](Args& a) -> auto& { return a.server.max_queue; },
+     "queue bound; past it, resource_exhausted", 0, kMaxCount},
+    {"--reactors", "N", kServe, [](Args& a) -> auto& { return a.server.reactors; },
+     "epoll I/O threads, 0 = 1", 0, kMaxCount},
+    {"--chunk-bytes", "N", kServe, [](Args& a) -> auto& { return a.server.chunk_bytes; },
+     "stream replies over N bytes as chunked frames", 0, kMaxCount},
+    {"--rate", "R", kServe, [](Args& a) -> auto& { return a.server.rate_limit; },
+     "data requests/s per client, 0 = unlimited"},
+    {"--burst", "B", kServe, [](Args& a) -> auto& { return a.server.rate_burst; },
+     "token bucket size, 0 = max(R, 1)"},
+    {"--slow-ms", "MS", kServe, [](Args& a) -> auto& { return a.server.slow_ms; },
+     "slow-log threshold, 0 = log every request"},
+    {"--slow-log", "FILE", kServe, [](Args& a) -> auto& { return a.server.slow_log; },
+     "append each slow request to FILE as one JSONL record"},
+    {"--retry", "N", kDialers, [](Args& a) -> auto& { return a.retry.max_attempts; },
+     "attempts per call, with jittered backoff and reconnects;\n"
+     "idempotent kinds are re-sent, submit never", 0,
+     std::numeric_limits<int>::max()},
+    {"--retry-base-ms", "MS", kDialers, [](Args& a) -> auto& { return a.retry.base_delay_ms; },
+     "first backoff"},
+    {"--retry-max-ms", "MS", kDialers, [](Args& a) -> auto& { return a.retry.max_delay_ms; },
+     "cap on one backoff"},
+    {"--retry-deadline-ms", "MS", kDialers,
+     [](Args& a) -> auto& { return a.retry.deadline_ms; }, "total backoff budget per call"},
+    {"--job", "N", kClientStatus | kTop, [](Args& a) -> auto& { return a.job; },
+     "a submitted study's job id, 0 = the latest", 0, kMaxCount},
+    {"--once", "", kTop, [](Args& a) -> auto& { return a.once; }, "print one sample and exit"},
+    {"--json", "", kTop | kSlowlog, [](Args& a) -> auto& { return a.json; },
+     "machine-readable JSON output"},
+    {"--interval-ms", "MS", kTop, [](Args& a) -> auto& { return a.interval_ms; },
+     "refresh period"},
+    // Every command.
+    {"--metrics-out", "FILE", kEvery, [](Args& a) -> auto& { return a.metrics_out; },
+     "dump metrics after the command: JSON to FILE,\nPrometheus text to FILE.prom"},
+    {"--log-json", "FILE", kEvery, [](Args& a) -> auto& { return a.log_json; },
+     "mirror log records to FILE as JSONL, linked to spans"},
+};
+
+std::string count_range(const Flag& flag) {
+  return "[" + std::to_string(flag.min) + ", " + std::to_string(flag.max) + "]";
+}
+
+// Sets `flag`'s field from `value` (null for a switch). False after naming
+// the flag when the value is malformed.
+bool set_flag(const Flag& flag, Args& args, const char* value) {
+  std::string expected;  // what a malformed value should have been
+  std::visit(
+      [&](auto field) {
+        auto& target = field(args);
+        using T = std::decay_t<decltype(target)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          target = true;
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          target = value;
+        } else if constexpr (std::is_same_v<T, std::vector<std::string>>) {
+          target.push_back(value);
+        } else if constexpr (std::is_same_v<T, Predicates>) {
+          const char* eq = std::strchr(value, '=');
+          if (eq && eq != value) target.emplace_back(std::string(value, eq), eq + 1);
+          else expected = "COL=VAL";
+        } else if constexpr (std::is_same_v<T, double>) {
+          std::optional<double> x = parse_nonneg_real(value);
+          if (x) target = *x;
+          else expected = "a finite number >= 0";
+        } else {
+          std::optional<size_t> n = parse_count(value, flag.min, flag.max);
+          if (n) target = static_cast<T>(*n);
+          else expected = "an integer in " + count_range(flag);
+        }
+      },
+      flag.field);
+  if (expected.empty()) return true;
+  std::fprintf(stderr, "%s expects %s, got '%s'\n", flag.name, expected.c_str(), value);
+  return false;
+}
+
+// A count's range when it binds (a maximum below INT_MAX), then
+// " (default X)" when a fresh Args holds a non-zero, non-empty value.
+std::string value_note(const Flag& flag) {
+  std::string note;
+  if (flag.max != 0 && flag.max < static_cast<size_t>(std::numeric_limits<int>::max())) {
+    note = " " + count_range(flag);
+  }
+  Args fresh;
+  std::string shown = std::visit(
+      [&](auto field) -> std::string {
+        const auto& v = field(fresh);
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, std::string>) {
+          return v;
+        } else if constexpr (std::is_arithmetic_v<T> && !std::is_same_v<T, bool>) {
+          char buf[32];
+          std::snprintf(buf, sizeof(buf), "%.10g", static_cast<double>(v));
+          return v > 0 ? buf : "";
+        } else {
+          return "";
+        }
+      },
+      flag.field);
+  return shown.empty() ? note : note + " (default " + shown + ")";
+}
+
+// Generated from the two tables: each command with the flags it reads, then
+// what each flag means.
+void usage() {
+  std::string text = "usage: gamma <command> [flags]; a flag the command does not read exits 2\n";
+  for (const Command& c : kCommands) {
+    text += "\n  gamma " + std::string(c.name) + (*c.files ? " " : "") + c.files + "\n      " +
+            util::replace_all(c.about, "\n", "\n      ") + "\n";
+    std::string line = "     ";
+    for (const Flag& f : kFlags) {
+      if (!(f.commands & c.bit) || f.commands == kEvery) continue;
+      std::string item = std::string(" ") + f.name + (*f.value ? " " : "") + f.value;
+      if (line.size() + item.size() > 79) {
+        text += line + "\n";
+        line = "     ";
+      }
+      line += item;
+    }
+    if (line.size() > 5) text += line + "\n";
+  }
+  text += "\nflags (every command also reads --metrics-out and --log-json):\n";
+  for (const Flag& f : kFlags) {
+    std::string head = std::string("  ") + f.name + " " + f.value;
+    head.resize(std::max<size_t>(head.size() + 1, 26), ' ');
+    text += head + util::replace_all(f.help, "\n", "\n" + std::string(26, ' ')) +
+            value_note(f) + "\n";
+  }
+  std::fputs(text.c_str(), stderr);
+}
+
+// The command argv names, with its flags and arguments parsed into `args`.
+// Null after one line saying what is wrong (the usage when no known command
+// is named); main exits 2.
+const Command* parse_args(int argc, char** argv, Args& args) {
+  std::string_view word = argc > 1 ? argv[1] : "";
+  const bool has_sub = word == "store" || word == "client";
+  std::string_view sub = has_sub && argc > 2 ? argv[2] : "";
+  const Command* command = nullptr;
+  for (const Command& c : kCommands) {
+    std::vector<std::string_view> name = util::split_view(c.name, ' ');
+    std::vector<std::string_view> subs =
+        name.size() > 1 ? util::split_view(name[1], '|') : std::vector<std::string_view>{""};
+    if (name[0] == word && std::find(subs.begin(), subs.end(), sub) != subs.end()) command = &c;
+  }
+  args.command = std::string(word) + (sub.empty() ? "" : " ") + std::string(sub);
+  args.subcommand = sub;
+  if (!command) {
+    if (argc > 1) std::fprintf(stderr, "gamma: unknown command '%s'\n", args.command.c_str());
+    usage();
+    return nullptr;
+  }
+  for (int i = has_sub ? 3 : 2; i < argc; ++i) {
+    const char* arg = argv[i];
+    if (arg[0] != '-') {
+      if (args.files.size() == command->max_files) {
+        std::fprintf(stderr, "gamma %s: unexpected argument '%s'\n", args.command.c_str(), arg);
+        return nullptr;
+      }
+      args.files.push_back(arg);
+      continue;
+    }
+    const Flag* flag = nullptr;
+    for (const Flag& f : kFlags) {
+      if (std::strcmp(f.name, arg) == 0) flag = &f;
+    }
+    if (!flag) {
+      std::fprintf(stderr, "unknown flag: %s\n", arg);
+      return nullptr;
+    }
+    if (!(flag->commands & command->bit)) {
+      std::fprintf(stderr, "%s does not apply to gamma %s\n", arg, args.command.c_str());
+      return nullptr;
+    }
+    const char* value = nullptr;
+    if (!std::holds_alternative<FieldOf<bool>>(flag->field)) {
+      if (i + 1 == argc) {
+        std::fprintf(stderr, "%s needs a value\n", arg);
+        return nullptr;
+      }
+      value = argv[++i];
+    }
+    if (!set_flag(*flag, args, value)) return nullptr;
+  }
+  return command;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   Args args;
-  if (!parse_args(argc, argv, args)) {
-    usage();
-    return 2;
-  }
+  const Command* command = parse_args(argc, argv, args);
+  if (!command) return 2;
   gam::util::set_log_level(gam::util::LogLevel::Warn);
   if (!args.log_json.empty()) {
     errno = 0;
@@ -1543,27 +1475,13 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  int rc = 2;
-  // A command that throws (a refused country, a failed store write, a
-  // journal locked by another study) fails with one error line and rc 1.
+  int rc = 1;
+  // A command that throws (a failed store write, a journal locked by
+  // another study) fails with one error line and rc 1.
   try {
-    if (args.command == "run") rc = cmd_run(args);
-    else if (args.command == "study") rc = cmd_study(args);
-    else if (args.command == "store") rc = cmd_store(args);
-    else if (args.command == "serve") rc = cmd_serve(args);
-    else if (args.command == "client") rc = cmd_client(args);
-    else if (args.command == "top") rc = cmd_top(args);
-    else if (args.command == "slowlog") rc = cmd_slowlog(args);
-    else if (args.command == "har") rc = cmd_har(args);
-    else if (args.command == "audit") rc = cmd_audit(args);
-    else if (args.command == "trace") rc = cmd_trace(args);
-    else {
-      usage();
-      return 2;
-    }
+    rc = command->run(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "gamma %s: %s\n", args.command.c_str(), e.what());
-    rc = 1;
   }
   if (!args.metrics_out.empty()) {
     // A failed metrics dump is reported once (inside write_file, with the
