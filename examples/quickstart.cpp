@@ -22,17 +22,17 @@ int main(int argc, char** argv) {
   util::set_log_level(util::LogLevel::Info);
 
   std::string country = argc > 1 ? argv[1] : "NZ";
-  if (!world::is_source_country(country)) {
-    std::fprintf(stderr, "unknown measurement country: %s\n", country.c_str());
+  worldgen::StudyOptions options;
+  options.countries = {country};
+  // The rules every front door checks, before the world is built.
+  if (util::Status request = worldgen::check_study_request({}, options); !request.ok()) {
+    std::fprintf(stderr, "%s\n", request.message().c_str());
     return 1;
   }
 
   std::printf("== Gamma quickstart: measuring from %s ==\n\n", country.c_str());
   std::printf("Generating the simulated Internet + web...\n");
   auto world = worldgen::generate_world({});
-
-  worldgen::StudyOptions options;
-  options.countries = {country};
   worldgen::StudyResult study = worldgen::run_study(*world, options);
 
   const core::VolunteerDataset& ds = study.datasets.front();

@@ -13,6 +13,7 @@
 #include <thread>
 #include <utility>
 
+#include "serve/service.h"
 #include "util/metrics.h"
 
 namespace gam::serve {
@@ -103,14 +104,6 @@ void Client::set_retry(const util::RetryPolicy& policy) {
     return;
   }
   retry_ = policy;
-}
-
-bool Client::idempotent_kind(std::string_view kind) {
-  // The read set: safe to re-send across a reconnect. study_status is a
-  // pure progress read — exactly what an operator polls across a daemon
-  // restart.
-  return kind == "ping" || kind == "health" || kind == "stats" ||
-         kind == "open" || kind == "query" || kind == "study_status";
 }
 
 util::Status Client::send_bytes(const std::string& bytes) {
@@ -244,7 +237,8 @@ util::StatusOr<util::Json> Client::call_raw(util::Json request) {
   if (!request.find("id")) request["id"] = static_cast<double>(next_id_++);
   const double id = request.get_number("id");
   const std::string kind = request.get_string("kind");
-  const bool resend_ok = retry_.has_value() && idempotent_kind(kind);
+  const Rpc* rpc = find_rpc(kind);
+  const bool resend_ok = retry_.has_value() && rpc && rpc->idempotent;
   const int attempts = retry_ ? std::max(1, retry_->max_attempts) : 1;
   double budget_ms = retry_ ? retry_->deadline_ms : 0.0;
 

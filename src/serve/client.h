@@ -13,15 +13,15 @@
 // reply with error code "unavailable". With a retry policy armed the client
 // treats both the same way: reconnect to the remembered endpoint under
 // bounded exponential backoff (util::RetryPolicy semantics, real sleeps, full
-// jitter) and transparently re-send the request *if its kind is idempotent*
-// (ping/health/stats/open/query — reads and connection-scoped opens, safe to
-// repeat). `submit_study` is journaled server-side before the reply is sent,
-// so a lost in-flight submit is NOT re-sent: the caller gets a structured
-// kAborted explaining that a retry could double-journal the study, and owns
-// the resubmit decision (the journal header makes a duplicate submit
-// detectable, but only the caller knows whether it wants one). `shutdown` is
-// likewise never re-sent. Reconnects are counted in reconnects() and the
-// `client.reconnects` metric.
+// jitter) and transparently re-send the request *if the request table
+// (serve::rpcs()) marks its kind idempotent*: reads and connection-scoped
+// opens, safe to repeat. `submit_study` is journaled server-side before the
+// reply is sent, so a lost in-flight submit is NOT re-sent: the caller gets
+// a structured kAborted explaining that a retry could double-journal the
+// study, and owns the resubmit decision (the journal header makes a
+// duplicate submit detectable, but only the caller knows whether it wants
+// one). `shutdown` is likewise never re-sent. Reconnects are counted in
+// reconnects() and the `client.reconnects` metric.
 #pragma once
 
 #include <cstdint>
@@ -61,11 +61,6 @@ class Client {
 
   /// Successful reconnections performed by the self-healing layer.
   uint64_t reconnects() const { return reconnects_; }
-
-  /// True for request kinds that are safe to re-send after a connection
-  /// loss: reads and connection-scoped opens. submit_study and shutdown
-  /// have server-side effects and are excluded.
-  static bool idempotent_kind(std::string_view kind);
 
   /// Fill in "id" (unless the caller set one), send, and wait for the reply
   /// with the matching id. Returns the full reply envelope

@@ -1,8 +1,8 @@
 #include "serve/pulse.h"
 
-#include <array>
 #include <map>
 
+#include "serve/service.h"
 #include "util/io.h"
 #include "util/logging.h"
 
@@ -10,18 +10,12 @@ namespace gam::serve {
 
 namespace {
 
-/// The fixed RPC vocabulary plus the cardinality sink for everything else.
-/// Growing the protocol means adding the kind here (and a Service handler);
-/// the Prometheus conformance test walks this list.
-constexpr std::array<const char*, 10> kKinds = {
-    "ping",   "health",       "stats",        "shutdown", "open",
-    "query",  "submit_study", "study_status", "sleep",    "unknown"};
-
+/// The request table's kinds plus the sink every other kind folds into.
 std::map<std::string, KindMetrics> build_kind_metrics() {
   util::MetricsRegistry& reg = util::MetricsRegistry::instance();
   std::map<std::string, KindMetrics> out;
-  for (const char* kind : kKinds) {
-    std::string base = std::string("serve.rpc.") + kind;
+  auto add = [&](const std::string& kind) {
+    std::string base = "serve.rpc." + kind;
     KindMetrics m;
     m.requests = &reg.counter(base + ".requests");
     m.errors = &reg.counter(base + ".errors");
@@ -29,7 +23,9 @@ std::map<std::string, KindMetrics> build_kind_metrics() {
     m.handle_ms = &reg.histogram(base + ".handle_ms");
     m.flush_ms = &reg.histogram(base + ".flush_ms");
     out.emplace(kind, m);
-  }
+  };
+  for (const Rpc& rpc : rpcs()) add(rpc.kind);
+  add(kUnknownKind);
   return out;
 }
 
@@ -41,18 +37,10 @@ const std::map<std::string, KindMetrics>& kind_metrics_table() {
 
 }  // namespace
 
-const std::string& normalize_kind(const std::string& kind) {
-  static const std::string kUnknown = "unknown";
-  const auto& table = kind_metrics_table();
-  auto it = table.find(kind);
-  if (it == table.end()) return kUnknown;
-  return it->first;
-}
-
 const KindMetrics& kind_metrics(const std::string& kind) {
   const auto& table = kind_metrics_table();
   auto it = table.find(kind);
-  if (it == table.end()) it = table.find("unknown");
+  if (it == table.end()) it = table.find(kUnknownKind);
   return it->second;
 }
 
@@ -60,35 +48,19 @@ void count_kind_error(const std::string& kind, const std::string& reason) {
   kind_metrics(kind).errors->inc();
   // Reason counters are registered on demand (registry mutex) — shed paths
   // are rare by construction, so the cold lookup never sits on the hot path.
-  util::MetricsRegistry::instance()
-      .counter("serve.rpc." + normalize_kind(kind) + ".errors." + reason)
-      .inc();
+  const std::string family = find_rpc(kind) ? kind : kUnknownKind;
+  util::MetricsRegistry::instance().counter("serve.rpc." + family + ".errors." + reason).inc();
 }
 
 std::string normalize_spec(const std::string& kind, const util::Json& frame) {
-  // util::Json objects are std::map-ordered, so copying whitelisted keys
+  // util::Json objects are std::map-ordered, so copying the declared keys
   // into a fresh object and dumping compact is already canonical.
   util::Json spec = util::Json::object();
-  auto copy = [&](const char* key) {
-    if (const util::Json* v = frame.find(key)) spec[key] = *v;
-  };
-  if (kind == "query") {
-    for (const char* key :
-         {"store", "report", "table", "project", "where", "group_by", "flows",
-          "limit"}) {
-      copy(key);
+  if (const Rpc* rpc = find_rpc(kind)) {
+    for (const RpcKey& key : rpc->keys) {
+      const util::Json* v = frame.find(key.name);
+      if (v && !key.knob) spec[key.name] = *v;
     }
-  } else if (kind == "submit_study") {
-    // "jobs" is deliberately absent: it is a scheduling knob with no effect
-    // on results (the --jobs determinism contract), so the digest — and the
-    // slow-log record built from it — is identical across thread counts.
-    for (const char* key : {"seed", "countries", "store_out"}) copy(key);
-  } else if (kind == "open") {
-    copy("path");
-  } else if (kind == "sleep") {
-    copy("ms");
-  } else if (kind == "study_status") {
-    copy("job");
   }
   return spec.dump();
 }

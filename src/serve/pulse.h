@@ -14,8 +14,8 @@
 // (serve.rpc.<kind>.requests / .errors counters, plus queue_wait_ms /
 // handle_ms / flush_ms histograms) through the existing metrics registry —
 // the JSON and Prometheus snapshots pick them up with zero new formats.
-// Kinds are normalized to the fixed RPC vocabulary before they become
-// metric names, so a hostile client cannot mint unbounded metric families.
+// A kind the request table (serve::rpcs()) does not declare is counted as
+// kUnknownKind, so a hostile client cannot mint unbounded metric families.
 //
 // Requests whose decode→flushed total exceeds --slow-ms additionally emit
 // one structured JSONL record through the SlowLog sink (durable
@@ -42,7 +42,7 @@ using PulseClock = std::chrono::steady_clock;
 /// the dispatcher lambda into execute(), and parked on the session's
 /// pending-flush queue until the reply's last byte drains.
 struct RequestClock {
-  std::string kind;        // normalized (normalize_kind) — safe as a metric name
+  std::string kind;        // a declared kind or kUnknownKind: a safe metric name
   double id = 0.0;
   uint64_t session_id = 0;
   bool inline_kind = false;
@@ -80,8 +80,8 @@ struct RequestClock {
 };
 
 /// Per-kind RED instruments. References are process-lifetime (registry
-/// contract); the whole fixed kind vocabulary is registered once, so the
-/// hot-path lookup is a read-only map find with no lock.
+/// contract); every declared kind is registered once, so the hot-path
+/// lookup is a read-only map find with no lock.
 struct KindMetrics {
   util::Counter* requests = nullptr;
   util::Counter* errors = nullptr;
@@ -90,12 +90,12 @@ struct KindMetrics {
   util::Histogram* flush_ms = nullptr;
 };
 
-/// Map a wire kind onto the fixed metric vocabulary: known kinds pass
-/// through, anything else becomes "unknown" (bounded metric cardinality).
-const std::string& normalize_kind(const std::string& kind);
+/// The metric family of every kind the request table does not declare, so
+/// a hostile client cannot mint unbounded metric families.
+inline constexpr const char* kUnknownKind = "unknown";
 
-/// The instruments for a normalized kind. `kind` MUST come from
-/// normalize_kind — unknown strings fall back to the "unknown" family.
+/// The instruments for a declared kind or kUnknownKind; any other string
+/// falls back to the kUnknownKind family.
 const KindMetrics& kind_metrics(const std::string& kind);
 
 /// Count one per-kind error with an attributable reason: increments both
@@ -105,9 +105,9 @@ const KindMetrics& kind_metrics(const std::string& kind);
 void count_kind_error(const std::string& kind, const std::string& reason);
 
 /// Deterministic compact-JSON digest of the request's semantic parameters:
-/// the whitelisted keys for the kind, in sorted key order, with scheduling
-/// knobs (submit_study "jobs") excluded — so the digest is byte-identical
-/// across --jobs values. Unknown kinds digest to "{}".
+/// every key the kind's row declares and the frame carries, in sorted key
+/// order, except scheduling knobs (submit_study "jobs") — so the digest is
+/// byte-identical across --jobs values. Undeclared kinds digest to "{}".
 std::string normalize_spec(const std::string& kind, const util::Json& frame);
 
 /// The slow-query JSONL sink: one durable_append'ed record per request whose

@@ -482,28 +482,33 @@ void Server::handle_frame(const std::shared_ptr<Session>& session, util::Json fr
     return;
   }
 
-  // GammaPulse: stamp decode and count the request under its (normalized)
-  // kind before any gate can shed it — RED rate is what arrived, not what
-  // survived.
+  // GammaPulse: stamp decode and count the request under its kind (every
+  // kind the request table does not declare under one sink) before any gate
+  // can shed it — RED rate is what arrived, not what survived.
+  const Rpc* rpc = find_rpc(kind);
   RequestClock clock;
-  clock.kind = normalize_kind(kind);
+  clock.kind = rpc ? rpc->kind : kUnknownKind;
   clock.id = id;
   clock.session_id = session->id;
   clock.decode = PulseClock::now();
   kind_metrics(clock.kind).requests->inc();
   if (slow_log_) clock.spec = normalize_spec(clock.kind, frame);
-  // A shed reply skips execute(): zero its stage stamps so the slow-log
-  // breakdown reads queue_wait 0 / handle 0 / flush real.
-  auto shed = [&clock] {
-    clock.ok = false;
-    clock.enqueue = clock.dequeue = clock.handle_start = clock.handle_end =
-        clock.decode;
+  // A refused request skips execute(): every stage stamp reads decode, so
+  // the slow-log breakdown reads queue_wait 0 / handle 0 / flush real, and
+  // the refusal is an attributable per-kind error.
+  auto refuse = [&](RequestClock& c, const char* code, const char* reason,
+                    const char* message) {
+    c.ok = false;
+    c.enqueue = c.dequeue = c.handle_start = c.handle_end = c.decode;
+    c.error_code = code;
+    count_kind_error(c.kind, reason);
+    write_reply(*session, error_reply(id, code, message), &c);
   };
 
   // Control plane: answered on the reactor thread, never queued — health
   // and shutdown must work precisely when the data plane is saturated, and
   // they are exempt from the rate limit for the same reason.
-  if (Service::is_inline_kind(kind)) {
+  if (rpc && rpc->inline_plane) {
     clock.inline_kind = true;
     clock.enqueue = clock.dequeue = clock.decode;
     execute(session, std::move(clock), kind, frame);
@@ -511,31 +516,22 @@ void Server::handle_frame(const std::shared_ptr<Session>& session, util::Json fr
   }
 
   if (draining_.load(std::memory_order_acquire)) {
-    shed();
-    clock.error_code = "unavailable";
-    count_kind_error(clock.kind, "draining");
-    write_reply(*session, error_reply(id, "unavailable", "server is draining"),
-                &clock);
+    refuse(clock, "unavailable", "draining", "server is draining");
     return;
   }
   if (options_.rate_limit > 0.0 && !take_token(*session)) {
     static util::Counter& rate_limited =
         util::MetricsRegistry::instance().counter("serve.rate_limited");
     rate_limited.inc();
-    shed();
-    clock.error_code = "rate_limited";
     clock.rate_limited = true;
-    count_kind_error(clock.kind, "rate_limited");
-    write_reply(*session,
-                error_reply(id, "rate_limited", "per-client rate limit exceeded"),
-                &clock);
+    refuse(clock, "rate_limited", "rate_limited", "per-client rate limit exceeded");
     return;
   }
+  // A refused submit() destroys the lambda, clock and all: refusals answer
+  // on this copy.
+  RequestClock refused = clock;
+  refused.backpressure = true;
   clock.enqueue = PulseClock::now();
-  // Survive the move below: the queue-full shed path still needs these
-  // (clock and frame both live inside the destroyed lambda by then).
-  std::string spec = clock.spec;
-  PulseClock::time_point decoded_at = clock.decode;
   session->inflight.fetch_add(1, std::memory_order_acq_rel);
   Dispatcher::Submit submitted = dispatcher_.submit(
       [this, session, id, kind, clock = std::move(clock),
@@ -547,33 +543,13 @@ void Server::handle_frame(const std::shared_ptr<Session>& session, util::Json fr
       });
   if (submitted == Dispatcher::Submit::Accepted) return;
   session->inflight.fetch_sub(1, std::memory_order_acq_rel);
-  // The lambda was never run, but submit() copied it in and destroyed it —
-  // rebuild the shed clock from scratch (the moved-from one is gone).
-  RequestClock shed_clock;
-  shed_clock.kind = normalize_kind(kind);
-  shed_clock.id = id;
-  shed_clock.session_id = session->id;
-  shed_clock.decode = shed_clock.enqueue = shed_clock.dequeue =
-      shed_clock.handle_start = shed_clock.handle_end = decoded_at;
-  shed_clock.ok = false;
-  shed_clock.backpressure = true;
-  shed_clock.spec = std::move(spec);
   if (submitted == Dispatcher::Submit::QueueFull) {
     static util::Counter& rejected =
         util::MetricsRegistry::instance().counter("serve.rejected");
     rejected.inc();
-    // The fix the shed-load satellite demands: a queue-full rejection is an
-    // attributable per-kind error, not just a global tally.
-    count_kind_error(shed_clock.kind, "queue_full");
-    shed_clock.error_code = "resource_exhausted";
-    write_reply(*session,
-                error_reply(id, "resource_exhausted", "request queue full"),
-                &shed_clock);
+    refuse(refused, "resource_exhausted", "queue_full", "request queue full");
   } else {
-    count_kind_error(shed_clock.kind, "draining");
-    shed_clock.error_code = "unavailable";
-    write_reply(*session, error_reply(id, "unavailable", "server is draining"),
-                &shed_clock);
+    refuse(refused, "unavailable", "draining", "server is draining");
   }
 }
 

@@ -27,9 +27,9 @@
 //
 //   Serving -> Draining:  stop accepting (listen socket shut down), new
 //                         data-plane requests on live connections answered
-//                         `unavailable: draining`, control-plane kinds
-//                         (ping/health/stats/shutdown) still answered by
-//                         the reactors;
+//                         `unavailable: draining`, the inline kinds of
+//                         the request table (serve::rpcs()) still answered
+//                         by the reactors;
 //   Draining -> Drained:  bounded queue runs dry (in-flight studies finish —
 //                         checkpointing per country as they always do — and
 //                         in-flight queries complete), the reactors flush

@@ -35,19 +35,35 @@ constexpr double kMaxSleepMs = 5000.0;
 /// out oldest-first; the latest is always queryable.
 constexpr size_t kMaxTrackedJobs = 8;
 
-util::Counter& kind_counter(const std::string& kind) {
-  return util::MetricsRegistry::instance().counter("serve.requests." + kind);
+/// What `value` should have been, when it is not of `key`'s type; "" when
+/// it is.
+std::string misfit(const RpcKey& key, const util::Json& value) {
+  auto all = [&](auto&& pred) {
+    return value.is_array() && std::all_of(value.items().begin(), value.items().end(), pred);
+  };
+  auto is_string = [](const util::Json& s) { return s.is_string(); };
+  auto is_pair = [](const util::Json& p) {
+    return p.is_array() && p.size() == 2 && p.at(0).is_string() && p.at(1).is_string();
+  };
+  const double d = value.as_number(-1.0);
+  switch (key.type) {
+    case KeyType::kString: return value.is_string() ? "" : "a string";
+    case KeyType::kCount:
+      return d >= 0 && d == std::floor(d) && d < 0x1p53 ? "" : "an integer in [0, 2^53)";
+    case KeyType::kBool: return value.is_bool() ? "" : "true or false";
+    case KeyType::kNumber:
+      return d >= 0 && d <= key.max ? "" : "a number in [0, " + util::Json(key.max).dump() + "]";
+    case KeyType::kStrings: return all(is_string) ? "" : "an array of strings";
+    case KeyType::kPairs: return all(is_pair) ? "" : "an array of [column, value] string pairs";
+  }
+  return "";
 }
 
-/// A non-negative integer param (`fallback` when absent), or nullopt for
-/// anything else: a string, a fraction, a sign, or a value past 2^64.
-std::optional<uint64_t> count_param(const util::Json& params, std::string_view key,
-                                    uint64_t fallback) {
+/// A count key check_request has passed (`fallback` when absent): exact in
+/// a double, so the cast loses nothing.
+uint64_t count(const util::Json& params, std::string_view key, uint64_t fallback) {
   const util::Json* v = params.find(key);
-  if (!v) return fallback;
-  double d = v->as_number(-1.0);
-  if (d < 0 || d != std::floor(d) || d >= 0x1p64) return std::nullopt;
-  return static_cast<uint64_t>(d);
+  return v ? static_cast<uint64_t>(v->as_number()) : fallback;
 }
 
 }  // namespace
@@ -92,14 +108,72 @@ util::Status Service::init() {
   return registry_.set_default(options_.store_path);
 }
 
-bool Service::is_inline_kind(const std::string& kind) {
-  // The control plane bypasses the bounded queue: health/stats must answer
-  // while the data plane is saturated, and shutdown must be deliverable
-  // under exactly that condition. study_status joins them because a running
-  // study holds a worker under study_mu_ — progress must be readable from
-  // the reactor precisely then.
-  return kind == "ping" || kind == "health" || kind == "stats" ||
-         kind == "shutdown" || kind == "study_status";
+// The request table. What each kind answers:
+//   ping          {"pong": true, "session": N}
+//   health        drain state, sessions, queue and slow-log settings
+//   stats         the metrics registry as JSON and as Prometheus text
+//   shutdown      {"draining": true}; the drain starts once it is sent
+//   open          opens and shares the GMST store at "path"
+//   query         a paper "report", or a scan of "table" that the other
+//                 keys shape; bytes identical to `gamma store query`
+//   submit_study  a study, journaled to the daemon's checkpoint dir so that
+//                 a killed daemon resumes it per country; its "job" id names
+//                 it to study_status
+//   study_status  per-country progress of that job (default: the latest)
+//   sleep         holds a worker for "ms": the backpressure tests' load
+// study_status is inline because a running study holds a worker: progress
+// must be readable from the reactor precisely then.
+std::span<const Rpc> rpcs() {
+  using enum KeyType;
+  static constexpr RpcKey kOpen[] = {{"path", kString}};
+  static constexpr RpcKey kQuery[] = {
+      {"store", kString},    {"report", kString}, {"table", kString},
+      {"project", kStrings}, {"where", kPairs},   {"group_by", kString},
+      {"flows", kBool},      {"limit", kCount}};
+  // "jobs" is the worker count, on which no output byte depends (DESIGN §5).
+  static constexpr RpcKey kSubmitStudy[] = {
+      {"seed", kCount},       {"jobs", kCount, 0, /*knob=*/true}, {"countries", kStrings},
+      {"store_out", kString}, {"shard_dir", kString}};
+  static constexpr RpcKey kStudyStatus[] = {{"job", kCount}};
+  static constexpr RpcKey kSleep[] = {{"ms", kNumber, kMaxSleepMs}};
+  static constexpr Rpc kRpcs[] = {
+      // kind          handler                        inline idempotent keys
+      {"ping",         &Service::handle_ping,         true,  true,  {}},
+      {"health",       &Service::handle_health,       true,  true,  {}},
+      {"stats",        &Service::handle_stats,        true,  true,  {}},
+      {"shutdown",     &Service::handle_shutdown,     true,  false, {}},
+      {"open",         &Service::handle_open,         false, true,  kOpen},
+      {"query",        &Service::handle_query,        false, true,  kQuery},
+      {"submit_study", &Service::handle_submit_study, false, false, kSubmitStudy},
+      {"study_status", &Service::handle_study_status, true,  true,  kStudyStatus},
+      {"sleep",        &Service::handle_sleep,        false, false, kSleep},
+  };
+  return kRpcs;
+}
+
+const Rpc* find_rpc(std::string_view kind) {
+  for (const Rpc& rpc : rpcs()) {
+    if (kind == rpc.kind) return &rpc;
+  }
+  return nullptr;
+}
+
+util::Status check_request(const Rpc& rpc, const util::Json& frame) {
+  for (const auto& [name, value] : frame.fields()) {
+    if (name == "id" || name == "kind") continue;
+    auto key = std::find_if(rpc.keys.begin(), rpc.keys.end(),
+                            [&](const RpcKey& k) { return name == k.name; });
+    // A dropped key would answer a request nobody sent.
+    if (key == rpc.keys.end()) {
+      return util::Status::invalid_argument(std::string(rpc.kind) + ": unknown key \"" +
+                                            name + "\"");
+    }
+    if (std::string want = misfit(*key, value); !want.empty()) {
+      return util::Status::invalid_argument(std::string(rpc.kind) + ": \"" + name +
+                                            "\" must be " + want);
+    }
+  }
+  return util::Status();
 }
 
 util::StatusOr<util::Json> Service::handle(Session& session, const std::string& kind,
@@ -109,55 +183,35 @@ util::StatusOr<util::Json> Service::handle(Session& session, const std::string& 
   requests.inc();
   session.requests.fetch_add(1, std::memory_order_relaxed);
 
-  if (kind == "ping") {
-    kind_counter("ping").inc();
-    util::Json result = util::Json::object();
-    result["pong"] = true;
-    result["session"] = static_cast<size_t>(session.id);
-    return result;
+  const Rpc* rpc = find_rpc(kind);
+  if (!rpc) return util::Status::invalid_argument("unknown request kind '" + kind + "'");
+  util::MetricsRegistry::instance().counter("serve.requests." + kind).inc();
+  if (util::Status checked = check_request(*rpc, params); !checked.ok()) return checked;
+  return (this->*rpc->handler)(session, params);
+}
+
+util::StatusOr<util::Json> Service::handle_ping(Session& session, const util::Json&) {
+  util::Json result = util::Json::object();
+  result["pong"] = true;
+  result["session"] = static_cast<size_t>(session.id);
+  return result;
+}
+
+util::StatusOr<util::Json> Service::handle_health(Session&, const util::Json&) {
+  util::Json result = health_provider_ ? health_provider_() : util::Json::object();
+  result["stores"] = registry_.size();
+  return result;
+}
+
+util::StatusOr<util::Json> Service::handle_shutdown(Session&, const util::Json&) {
+  if (!on_shutdown_) {
+    return util::Status::failed_precondition("no shutdown handler installed");
   }
-  if (kind == "health") {
-    kind_counter("health").inc();
-    util::Json result = health_provider_ ? health_provider_() : util::Json::object();
-    result["stores"] = registry_.size();
-    return result;
-  }
-  if (kind == "stats") {
-    kind_counter("stats").inc();
-    return handle_stats();
-  }
-  if (kind == "shutdown") {
-    kind_counter("shutdown").inc();
-    if (!on_shutdown_) {
-      return util::Status::failed_precondition("no shutdown handler installed");
-    }
-    // The handler is NOT invoked here: the transport triggers it after the
-    // reply is on the wire, or the drain would race the client's read.
-    util::Json result = util::Json::object();
-    result["draining"] = true;
-    return result;
-  }
-  if (kind == "open") {
-    kind_counter("open").inc();
-    return handle_open(session, params);
-  }
-  if (kind == "query") {
-    kind_counter("query").inc();
-    return handle_query(session, params);
-  }
-  if (kind == "submit_study") {
-    kind_counter("submit_study").inc();
-    return handle_submit_study(params);
-  }
-  if (kind == "study_status") {
-    kind_counter("study_status").inc();
-    return handle_study_status(params);
-  }
-  if (kind == "sleep") {
-    kind_counter("sleep").inc();
-    return handle_sleep(params);
-  }
-  return util::Status::invalid_argument("unknown request kind '" + kind + "'");
+  // The handler is NOT invoked here: the transport triggers it after the
+  // reply is on the wire, or the drain would race the client's read.
+  util::Json result = util::Json::object();
+  result["draining"] = true;
+  return result;
 }
 
 util::StatusOr<std::shared_ptr<store::Reader>> Service::resolve_store(
@@ -199,81 +253,51 @@ util::StatusOr<util::Json> Service::handle_query(Session& session,
                                                  const util::Json& params) {
   auto reader = resolve_store(session, params);
   if (!reader.ok()) return reader.status();
-  const store::Reader& r = **reader;
+  return answer_query(**reader, params);
+}
 
-  // Report mode resolves the name through the same table as `gamma store
-  // query --report R`, so the two front doors answer with identical bytes
-  // (test_serve and the check.sh serve arm diff them).
-  std::string report = params.get_string("report");
-  if (!report.empty()) return store::report_json(r, report);
-
+util::StatusOr<util::Json> answer_query(const store::Reader& reader, const util::Json& frame) {
+  if (const util::Json* report = frame.find("report")) {
+    // A report is one fixed paper table: a scan key beside it would shape
+    // nothing, and answering anyway would drop it.
+    for (const char* scan : {"table", "project", "where", "group_by", "flows", "limit"}) {
+      if (frame.has(scan)) {
+        return util::Status::invalid_argument(std::string("query: \"report\" excludes \"") +
+                                              scan + "\"");
+      }
+    }
+    return store::report_json(reader, report->as_string());
+  }
   store::QuerySpec spec;
-  std::string table = params.get_string("table", "hits");
+  std::string table = frame.get_string("table", "hits");
   auto table_id = store::table_from_name(table);
   if (!table_id) {
     return util::Status::invalid_argument("unknown table '" + table +
                                           "' (countries|sites|hits)");
   }
   spec.table = *table_id;
-  if (const util::Json* project = params.find("project")) {
-    for (const util::Json& col : project->items()) {
-      if (!col.is_string()) {
-        return util::Status::invalid_argument("\"project\" must be an array of strings");
-      }
-      spec.project.push_back(col.as_string());
-    }
+  if (const util::Json* project = frame.find("project")) {
+    for (const util::Json& col : project->items()) spec.project.push_back(col.as_string());
   }
-  if (const util::Json* where = params.find("where")) {
+  if (const util::Json* where = frame.find("where")) {
     for (const util::Json& pred : where->items()) {
-      if (!pred.is_array() || pred.size() != 2 || !pred.at(0).is_string() ||
-          !pred.at(1).is_string()) {
-        return util::Status::invalid_argument(
-            "\"where\" must be an array of [column, value] string pairs");
-      }
       spec.where.emplace_back(pred.at(0).as_string(), pred.at(1).as_string());
     }
   }
-  spec.group_by = params.get_string("group_by");
-  spec.flows = params.get_bool("flows");
-  std::optional<uint64_t> limit = count_param(params, "limit", 0);
-  if (!limit) return util::Status::invalid_argument("\"limit\" must be a non-negative integer");
-  spec.limit = *limit;
+  spec.group_by = frame.get_string("group_by");
+  spec.flows = frame.get_bool("flows");
+  spec.limit = count(frame, "limit", 0);
 
   store::Error error;
-  std::optional<util::Json> result = store::Query(r).run(spec, &error);
+  std::optional<util::Json> result = store::Query(reader).run(spec, &error);
   if (!result) return util::Status::invalid_argument(error.to_string());
   return std::move(*result);
 }
 
-util::StatusOr<util::Json> Service::handle_submit_study(const util::Json& params) {
-  // Every key must be one this kind reads (or the envelope's id and kind),
-  // with the type it needs: a dropped key would run a study nobody asked for.
-  static constexpr std::string_view kKeys[] = {"id",        "kind",      "seed",     "jobs",
-                                               "countries", "store_out", "shard_dir"};
-  for (const auto& [key, value] : params.fields()) {
-    if (std::find(std::begin(kKeys), std::end(kKeys), key) == std::end(kKeys)) {
-      return util::Status::invalid_argument("submit_study: unknown key \"" + key + "\"");
-    }
-    if ((key == "store_out" || key == "shard_dir") && !value.is_string()) {
-      return util::Status::invalid_argument("submit_study: \"" + key + "\" must be a string");
-    }
-    auto is_string = [](const util::Json& c) { return c.is_string(); };
-    const util::JsonArray& items = value.items();
-    if (key == "countries" &&
-        !(value.is_array() && std::all_of(items.begin(), items.end(), is_string))) {
-      return util::Status::invalid_argument(
-          "submit_study: \"countries\" must be an array of strings");
-    }
-  }
+util::StatusOr<util::Json> Service::handle_submit_study(Session&, const util::Json& params) {
   worldgen::StudyOptions options;
-  std::optional<uint64_t> seed = count_param(params, "seed", options.seed);
-  std::optional<uint64_t> jobs = count_param(params, "jobs", options.jobs);
-  if (!seed || !jobs) {
-    return util::Status::invalid_argument(
-        "submit_study: \"seed\" and \"jobs\" must be non-negative integers");
-  }
-  options.seed = *seed;
-  options.jobs = *jobs;
+  options.seed = count(params, "seed", options.seed);
+  options.jobs = count(params, "jobs", options.jobs);
   if (const util::Json* countries = params.find("countries")) {
     for (const util::Json& c : countries->items()) options.countries.push_back(c.as_string());
   }
@@ -363,24 +387,20 @@ util::StatusOr<util::Json> Service::handle_submit_study(const util::Json& params
   return result;
 }
 
-util::StatusOr<util::Json> Service::handle_study_status(const util::Json& params) {
+util::StatusOr<util::Json> Service::handle_study_status(Session&, const util::Json& params) {
   // Inline-plane: runs on a reactor thread while a study may be holding a
   // worker under study_mu_. Only jobs_mu_ (never held across anything slow)
   // and the progress snapshot's own mutex are touched.
   uint64_t job_id = 0;
   std::shared_ptr<worldgen::StudyProgress> progress;
-  std::optional<uint64_t> requested = count_param(params, "job", 0);
-  if (!requested) {
-    return util::Status::invalid_argument(
-        "study_status: \"job\" must be a non-negative integer");
-  }
+  const uint64_t requested = count(params, "job", 0);
   {
     std::lock_guard<std::mutex> lock(jobs_mu_);
-    if (*requested > 0) {
-      auto it = jobs_.find(*requested);
+    if (requested > 0) {
+      auto it = jobs_.find(requested);
       if (it == jobs_.end()) {
         return util::Status::not_found(
-            "study_status: unknown job " + std::to_string(*requested) +
+            "study_status: unknown job " + std::to_string(requested) +
             " (tracked: most recent " + std::to_string(kMaxTrackedJobs) + ")");
       }
       job_id = it->first;
@@ -407,10 +427,8 @@ util::StatusOr<util::Json> Service::handle_study_status(const util::Json& params
   return result;
 }
 
-util::StatusOr<util::Json> Service::handle_sleep(const util::Json& params) {
-  double ms = params.get_number("ms", 0.0);
-  if (ms < 0) return util::Status::invalid_argument("\"ms\" must be >= 0");
-  if (ms > kMaxSleepMs) ms = kMaxSleepMs;
+util::StatusOr<util::Json> Service::handle_sleep(Session&, const util::Json& params) {
+  const double ms = params.get_number("ms", 0.0);
   std::this_thread::sleep_for(
       std::chrono::microseconds(static_cast<int64_t>(ms * 1000.0)));
   util::Json result = util::Json::object();
@@ -418,7 +436,7 @@ util::StatusOr<util::Json> Service::handle_sleep(const util::Json& params) {
   return result;
 }
 
-util::StatusOr<util::Json> Service::handle_stats() {
+util::StatusOr<util::Json> Service::handle_stats(Session&, const util::Json&) {
   util::MetricsSnapshot snap = util::MetricsRegistry::instance().snapshot();
   util::Json result = util::Json::object();
   result["json"] = snap.to_json();

@@ -3,26 +3,14 @@
 // The service is transport-agnostic: it maps (session, kind, params) to a
 // StatusOr<Json> result and never touches a socket, which is what makes the
 // whole request surface drivable from a unit test without a listener.
-// Request kinds:
 //
-//   ping          {}                          -> {"pong": true}
-//   health        {}                          -> state/session/queue snapshot
-//   stats         {}                          -> util::metrics JSON + Prometheus text
-//   open          {"path": P}                 -> open + share a GMST store
-//   query         {"store"?, "report"? | "table"/"where"/...} -> store scan;
-//                 result bytes identical to `gamma store query` (test-asserted)
-//   submit_study  {"seed"?, "countries"?, "jobs"?, "store_out"?, "shard_dir"?}
-//                 -> run a study; journaled to the daemon's checkpoint dir,
-//                 so a killed daemon resumes per-country on restart. Any
-//                 other key is invalid_argument. The reply carries the
-//                 tracked "job" id for study_status.
-//   study_status  {"job"?: N}                 -> GammaPulse progress for the
-//                 given (default: latest) submitted study — per-country
-//                 states, counts, elapsed, ETA. Inline: answers while a
-//                 study holds a worker, which is the whole point.
-//   sleep         {"ms": N (<= 5000)}         -> hold a worker; the load
-//                 generator for the backpressure/drain tests and benches
-//   shutdown      {}                          -> begin graceful drain
+// Each request kind is one row of rpcs() (service.cpp): its handler, its
+// plane, whether a client may re-send it, and the keys it reads with their
+// types. handle() checks every frame against its row first: a key outside
+// it (besides the envelope's id and kind) or of the wrong type is
+// invalid_argument naming the key. The server, the client's retry rule,
+// pulse and `gamma top` read the same rows, so a new kind is one row and
+// one handler.
 //
 // Studies are serialized on one mutex: a study saturates the country pool
 // by itself, and two concurrent studies with the same seed would contend
@@ -35,7 +23,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "serve/session.h"
 #include "util/json.h"
@@ -44,6 +34,53 @@
 #include "worldgen/world.h"
 
 namespace gam::serve {
+
+class Service;
+
+/// A request handler: the caller's session and a frame its row has checked.
+using Handler = util::StatusOr<util::Json>(Session& session, const util::Json& params);
+
+/// What a request key holds; a value of any other type is refused. A count
+/// is an integer in [0, 2^53), which a JSON number holds exactly; a number
+/// lies in [0, RpcKey::max]; pairs are [column, value] string pairs.
+enum class KeyType { kString, kCount, kBool, kNumber, kStrings, kPairs };
+
+struct RpcKey {
+  const char* name;
+  KeyType type;
+  double max = 0;     // kNumber's bound
+  bool knob = false;  // a scheduling knob, left out of the slow-log spec
+};
+
+/// One request kind, declared once.
+struct Rpc {
+  const char* kind;
+  Handler Service::*handler;
+  /// Answered on the reactor thread, never queued or rate-limited: the
+  /// control plane must respond while the data plane is saturated or
+  /// draining.
+  bool inline_plane;
+  /// Safe for a self-healing client to re-send after a connection loss:
+  /// reads and connection-scoped opens, nothing with a server-side effect.
+  bool idempotent;
+  std::span<const RpcKey> keys;
+};
+
+/// Every request kind the daemon answers, in one immutable table.
+std::span<const Rpc> rpcs();
+
+/// The row for `kind`, or null for a kind the daemon does not answer.
+const Rpc* find_rpc(std::string_view kind);
+
+/// invalid_argument naming the first key of `frame` that `rpc` does not
+/// declare, or whose value is not of the declared type; OK otherwise.
+util::Status check_request(const Rpc& rpc, const util::Json& frame);
+
+/// The answer to a checked query frame over `reader`: a paper "report", or
+/// a scan of "table" shaped by "project", "where", "group_by", "flows" and
+/// "limit"; a report beside any scan key is invalid_argument. The daemon's
+/// query kind and `gamma store query` both return it.
+util::StatusOr<util::Json> answer_query(const store::Reader& reader, const util::Json& frame);
 
 struct ServiceOptions {
   /// Journal directory handed to every submitted study ("" = no journal).
@@ -68,14 +105,10 @@ class Service {
   /// so a bad --store path fails startup, not the first query).
   util::Status init();
 
-  /// Dispatch one request. `params` is the whole request object (id/kind
-  /// included; handlers read only their own keys).
+  /// Dispatch one request: check `params`, the whole request object (id
+  /// and kind included), against the kind's row, then run its handler.
   util::StatusOr<util::Json> handle(Session& session, const std::string& kind,
                                     const util::Json& params);
-
-  /// True for kinds the connection thread answers inline — the control
-  /// plane must respond even when the queue is full or draining.
-  static bool is_inline_kind(const std::string& kind);
 
   StoreRegistry& registry() { return registry_; }
 
@@ -87,12 +120,11 @@ class Service {
   }
 
  private:
-  util::StatusOr<util::Json> handle_open(Session& session, const util::Json& params);
-  util::StatusOr<util::Json> handle_query(Session& session, const util::Json& params);
-  util::StatusOr<util::Json> handle_submit_study(const util::Json& params);
-  util::StatusOr<util::Json> handle_study_status(const util::Json& params);
-  util::StatusOr<util::Json> handle_sleep(const util::Json& params);
-  util::StatusOr<util::Json> handle_stats();
+  friend std::span<const Rpc> rpcs();
+
+  // One per row of the table, reached only through handle().
+  Handler handle_ping, handle_health, handle_stats, handle_shutdown, handle_open, handle_query,
+      handle_submit_study, handle_study_status, handle_sleep;
   util::StatusOr<std::shared_ptr<store::Reader>> resolve_store(Session& session,
                                                                const util::Json& params);
 

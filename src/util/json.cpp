@@ -82,8 +82,10 @@ std::string json_escape(std::string_view s) {
 namespace {
 std::string number_to_string(double d, bool exact) {
   if (std::isnan(d) || std::isinf(d)) return "null";
-  // Integers print without a decimal point; keeps records compact and stable.
-  if (d == std::floor(d) && std::fabs(d) < 1e15) {
+  // Integers print without a decimal point, every digit of them up to 2^53,
+  // where doubles stop holding each integer: a count crosses the wire
+  // exactly. Keeps records compact and stable.
+  if (d == std::floor(d) && std::fabs(d) < 0x1p53) {
     char buf[32];
     std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(d));
     return buf;

@@ -1,6 +1,5 @@
 #include "world/country.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cmath>
@@ -132,11 +131,6 @@ std::vector<const CountryInfo*> CountryDb::by_continent(geo::Continent cont) con
 
 double CountryDb::distance_km(std::string_view code_a, std::string_view code_b) const {
   return geo::haversine_km(at(code_a).primary_city().coord, at(code_b).primary_city().coord);
-}
-
-bool is_source_country(std::string_view code) {
-  const auto& s = source_countries();
-  return std::find(s.begin(), s.end(), code) != s.end();
 }
 
 }  // namespace gam::world

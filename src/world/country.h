@@ -83,7 +83,4 @@ class CountryDb {
 /// The paper's 23 measurement countries, in Table-1 order (top = strictest).
 const std::vector<std::string>& source_countries();
 
-/// True if `code` is one of the 23 measurement countries.
-bool is_source_country(std::string_view code);
-
 }  // namespace gam::world

@@ -22,6 +22,9 @@ TEST(Json, Scalars) {
 TEST(Json, IntegersPrintWithoutDecimalPoint) {
   EXPECT_EQ(Json(1000000.0).dump(), "1000000");
   EXPECT_EQ(Json(0.0).dump(), "0");
+  // Every digit below 2^53: a seed sent over the wire arrives as itself.
+  EXPECT_EQ(Json(1e15 + 3).dump(), "1000000000000003");
+  EXPECT_EQ(Json(9007199254740991.0).dump(), "9007199254740991");
 }
 
 TEST(Json, ArrayBuilding) {
@@ -148,7 +151,8 @@ TEST_P(JsonRoundTrip, DumpParseDumpStable) {
 INSTANTIATE_TEST_SUITE_P(
     Documents, JsonRoundTrip,
     ::testing::Values(
-        "null", "true", "0", "-1", "3.14159", "1e10", "\"\"", "\"abc\"", "[]", "{}",
+        "null", "true", "0", "-1", "3.14159", "1e10", "1000000000000003", "9007199254740991",
+        "\"\"", "\"abc\"", "[]", "{}",
         "[[[]]]", R"([1,"two",false,null,{"k":[]}])",
         R"({"target":"10.1.2.3","reached":true,"hops":[{"ttl":1,"ip":"10.0.0.1","rtt_ms":[1.5,1.25,2]}]})",
         R"({"nested":{"deep":{"deeper":{"value":[1,2,3]}}}})",

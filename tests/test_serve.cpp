@@ -41,11 +41,13 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/report_json.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
+#include "serve/pulse.h"
 #include "serve/server.h"
 #include "serve/service.h"
 #include "store/query.h"
@@ -255,16 +257,108 @@ TEST(Protocol, ReplyEnvelopes) {
 // Service unit tests (no sockets): the dispatch table and its error taxonomy.
 
 TEST(Service, ControlPlaneKindsAreInline) {
-  EXPECT_TRUE(serve::Service::is_inline_kind("ping"));
-  EXPECT_TRUE(serve::Service::is_inline_kind("health"));
-  EXPECT_TRUE(serve::Service::is_inline_kind("stats"));
-  EXPECT_TRUE(serve::Service::is_inline_kind("shutdown"));
+  auto is_inline = [](const char* kind) {
+    const serve::Rpc* rpc = serve::find_rpc(kind);
+    EXPECT_NE(rpc, nullptr) << kind;
+    return rpc != nullptr && rpc->inline_plane;
+  };
+  EXPECT_TRUE(is_inline("ping"));
+  EXPECT_TRUE(is_inline("health"));
+  EXPECT_TRUE(is_inline("stats"));
+  EXPECT_TRUE(is_inline("shutdown"));
   // study_status must answer while a submitted study holds every worker —
   // that is the whole point of the progress RPC.
-  EXPECT_TRUE(serve::Service::is_inline_kind("study_status"));
-  EXPECT_FALSE(serve::Service::is_inline_kind("query"));
-  EXPECT_FALSE(serve::Service::is_inline_kind("submit_study"));
-  EXPECT_FALSE(serve::Service::is_inline_kind("sleep"));
+  EXPECT_TRUE(is_inline("study_status"));
+  EXPECT_FALSE(is_inline("query"));
+  EXPECT_FALSE(is_inline("submit_study"));
+  EXPECT_FALSE(is_inline("sleep"));
+}
+
+// The request table, walked: every kind refuses a key its row does not
+// declare, and every declared key refuses a value of another type — as
+// invalid_argument naming the key, before any handler runs (no study
+// starts, no worker sleeps, no shutdown is acknowledged).
+TEST(Service, EveryKindRefusesAnUndeclaredKey) {
+  serve::Service service({});
+  ASSERT_TRUE(service.init().ok());
+  serve::Session session;
+  ASSERT_FALSE(serve::rpcs().empty());
+  for (const serve::Rpc& rpc : serve::rpcs()) {
+    util::Json frame = util::Json::object();
+    frame["id"] = 1;
+    frame["kind"] = rpc.kind;
+    frame["undeclared"] = true;
+    auto reply = service.handle(session, rpc.kind, frame);
+    ASSERT_FALSE(reply.ok()) << rpc.kind;
+    EXPECT_EQ(reply.status().code(), util::StatusCode::kInvalidArgument) << rpc.kind;
+    EXPECT_NE(reply.status().message().find("\"undeclared\""), std::string::npos)
+        << rpc.kind << " -> " << reply.status().message();
+  }
+}
+
+/// Values of the wrong shape for `key`: every other JSON type, and for the
+/// bounded types the first value past each bound.
+std::vector<util::Json> mistyped_values(const serve::RpcKey& key) {
+  std::vector<const char*> texts;
+  switch (key.type) {
+    case serve::KeyType::kString: texts = {"7", "true", "null", "[\"a\"]", "{}"}; break;
+    case serve::KeyType::kCount:
+      texts = {"2.5", "-1", "9007199254740992", "1e30", "\"3\"", "true"};
+      break;
+    case serve::KeyType::kBool: texts = {"\"yes\"", "1", "null", "[]"}; break;
+    case serve::KeyType::kNumber: texts = {"-1", "\"5\"", "false"}; break;
+    case serve::KeyType::kStrings: texts = {"\"a\"", "[5]", "[[\"a\"]]", "{}"}; break;
+    case serve::KeyType::kPairs:
+      texts = {"\"code\"", "{\"code\":\"NZ\"}", "[\"code\",\"NZ\"]",
+               "[[\"code\"]]", "[[\"code\",5]]", "[[\"a\",\"b\",\"c\"]]"};
+      break;
+  }
+  std::vector<util::Json> values;
+  for (const char* text : texts) values.push_back(*util::Json::parse(text));
+  if (key.type == serve::KeyType::kNumber) values.emplace_back(key.max + 0.5);
+  return values;
+}
+
+/// A value of `key`'s type, at the edge of its range where it has one.
+util::Json typed_value(const serve::RpcKey& key) {
+  switch (key.type) {
+    case serve::KeyType::kString: return util::Json("x");
+    case serve::KeyType::kCount: return util::Json(9007199254740991.0);  // 2^53 - 1
+    case serve::KeyType::kBool: return util::Json(true);
+    case serve::KeyType::kNumber: return util::Json(key.max);
+    case serve::KeyType::kStrings: return *util::Json::parse("[\"a\"]");
+    case serve::KeyType::kPairs: return *util::Json::parse("[[\"a\",\"b\"]]");
+  }
+  return util::Json();
+}
+
+TEST(Service, EveryDeclaredKeyRefusesAMistypedValue) {
+  serve::Service service({});
+  ASSERT_TRUE(service.init().ok());
+  serve::Session session;
+  size_t keys = 0;
+  for (const serve::Rpc& rpc : serve::rpcs()) {
+    for (const serve::RpcKey& key : rpc.keys) {
+      ++keys;
+      util::Json frame = util::Json::object();
+      frame["kind"] = rpc.kind;
+      frame[key.name] = typed_value(key);
+      EXPECT_TRUE(serve::check_request(rpc, frame).ok())
+          << rpc.kind << " " << frame.dump() << " -> "
+          << serve::check_request(rpc, frame).message();
+      for (const util::Json& bad : mistyped_values(key)) {
+        frame[key.name] = bad;
+        auto reply = service.handle(session, rpc.kind, frame);
+        ASSERT_FALSE(reply.ok()) << rpc.kind << " " << frame.dump();
+        EXPECT_EQ(reply.status().code(), util::StatusCode::kInvalidArgument)
+            << rpc.kind << " " << frame.dump();
+        EXPECT_NE(reply.status().message().find("\"" + std::string(key.name) + "\""),
+                  std::string::npos)
+            << frame.dump() << " -> " << reply.status().message();
+      }
+    }
+  }
+  EXPECT_EQ(keys, 16u);  // path; 8 query keys; 5 submit_study keys; job; ms
 }
 
 TEST(Service, StructuredErrorsForBadRequests) {
@@ -316,6 +410,8 @@ TEST(Service, SubmitStudyRejectsSeedAndJobsThatAreNotCounts) {
   };
   refused(R"({"countries": ["US"], "jobs": 2.5})", "jobs");
   refused(R"({"countries": ["US"], "seed": -1})", "seed");
+  // 2^53: the first count a JSON number cannot tell from its neighbour.
+  refused(R"({"countries": ["US"], "seed": 9007199254740992})", "seed");
   refused(R"({"countries": "NZ", "jobs": 4})", "countries");
   refused(R"({"countries": ["NZ", 5]})", "countries");
   refused(R"({"countries": ["NZ"], "store_out": 5})", "store_out");
@@ -479,6 +575,50 @@ TEST(Serve, QueryErrorsAreStructured) {
               "invalid_argument")
         << limit;
   }
+}
+
+// Frames a lenient decoder answers `ok` with a key dropped or misread: a
+// where object read as no filter, a typo'd key ignored, a report answered
+// beside scan keys, a string "yes" read as false, a project string read as
+// every column, an over-long sleep clamped. Each must be refused naming the
+// key, and the daemon must serve on.
+TEST(Serve, FramesWithUndeclaredOrMistypedKeysAreRefusedNamingTheKey) {
+  ServerOptions options;
+  options.service.store_path = shared_store();
+  auto server = start_server(std::move(options));
+  auto client = connect(*server);
+
+  util::Json open = util::Json::object();
+  open["kind"] = "open";
+  open["path"] = shared_store();
+  open["mode"] = "rw";
+  const std::pair<util::Json, const char*> cases[] = {
+      {*util::Json::parse(R"({"kind":"query","table":"countries","where":{"code":"NZ"}})"),
+       "where"},
+      {*util::Json::parse(R"({"kind":"query","table":"countries","wher":[["code","NZ"]]})"),
+       "wher"},
+      {*util::Json::parse(
+           R"({"kind":"query","report":"coverage","table":"countries","where":[["code","NZ"]]})"),
+       "table"},
+      {*util::Json::parse(R"({"kind":"query","table":"hits","flows":"yes"})"), "flows"},
+      {*util::Json::parse(R"({"kind":"query","table":"hits","group_by":7})"), "group_by"},
+      {*util::Json::parse(R"({"kind":"query","table":"countries","project":"code"})"),
+       "project"},
+      {*util::Json::parse(R"({"kind":"query","report":7})"), "report"},
+      {open, "mode"},
+      {*util::Json::parse(R"({"kind":"sleep","ms":60000})"), "ms"},
+  };
+  for (const auto& [frame, key] : cases) {
+    auto reply = client->call_raw(frame);
+    EXPECT_EQ(must_error_code(reply), "invalid_argument") << frame.dump();
+    ASSERT_TRUE(reply.ok());
+    const util::Json* error = reply->find("error");
+    ASSERT_NE(error, nullptr) << reply->dump();
+    EXPECT_NE(error->get_string("message").find("\"" + std::string(key) + "\""),
+              std::string::npos)
+        << frame.dump() << " -> " << reply->dump();
+  }
+  EXPECT_TRUE(must_result(client->call("ping")).get_bool("pong"));
 }
 
 TEST(Serve, ConcurrentClientsGetIdenticalBytes) {
@@ -1194,17 +1334,21 @@ util::RetryPolicy chaos_retry() {
 
 TEST(ServeHeal, IdempotentKindsAreExactlyTheReadSet) {
   // Reads and connection-scoped opens are safe to re-send; anything with
-  // server-side effects is not. Keep this list in sync with Client.
-  EXPECT_TRUE(Client::idempotent_kind("ping"));
-  EXPECT_TRUE(Client::idempotent_kind("health"));
-  EXPECT_TRUE(Client::idempotent_kind("stats"));
-  EXPECT_TRUE(Client::idempotent_kind("open"));
-  EXPECT_TRUE(Client::idempotent_kind("query"));
-  EXPECT_TRUE(Client::idempotent_kind("study_status"));
-  EXPECT_FALSE(Client::idempotent_kind("submit_study"));
-  EXPECT_FALSE(Client::idempotent_kind("shutdown"));
-  EXPECT_FALSE(Client::idempotent_kind(""));
-  EXPECT_FALSE(Client::idempotent_kind("nonsense"));
+  // server-side effects is not. The client reads this off the request table.
+  auto idempotent = [](const char* kind) {
+    const serve::Rpc* rpc = serve::find_rpc(kind);
+    return rpc != nullptr && rpc->idempotent;
+  };
+  EXPECT_TRUE(idempotent("ping"));
+  EXPECT_TRUE(idempotent("health"));
+  EXPECT_TRUE(idempotent("stats"));
+  EXPECT_TRUE(idempotent("open"));
+  EXPECT_TRUE(idempotent("query"));
+  EXPECT_TRUE(idempotent("study_status"));
+  EXPECT_FALSE(idempotent("submit_study"));
+  EXPECT_FALSE(idempotent("shutdown"));
+  EXPECT_FALSE(idempotent(""));
+  EXPECT_FALSE(idempotent("nonsense"));
 }
 
 TEST(ServeHeal, ClientHealsAcrossServerRestart) {
@@ -1389,6 +1533,25 @@ TEST(ServePulse, RedMetricsCoverEveryStageByKind) {
     if (!flushed) std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   EXPECT_TRUE(flushed);
+}
+
+TEST(ServePulse, SpecIsEveryDeclaredKeyButTheJobsKnob) {
+  // A sharded study is a different request from an unsharded one, so its
+  // spec differs; the worker count is not, so "jobs" never reaches it.
+  auto spec = [](const char* kind, const char* frame) {
+    return serve::normalize_spec(kind, *util::Json::parse(frame));
+  };
+  EXPECT_EQ(spec("submit_study", R"({"id":1,"kind":"submit_study","countries":["NZ"],"jobs":8})"),
+            R"({"countries":["NZ"]})");
+  EXPECT_EQ(spec("submit_study",
+                 R"({"id":2,"kind":"submit_study","countries":["NZ"],"shard_dir":"S"})"),
+            R"({"countries":["NZ"],"shard_dir":"S"})");
+  // A query's spec is the query without its envelope.
+  EXPECT_EQ(spec("query", R"({"id":3,"kind":"query","table":"sites","limit":20,)"
+                          R"("where":[["country","NZ"]]})"),
+            R"({"limit":20,"table":"sites","where":[["country","NZ"]]})");
+  EXPECT_EQ(spec("ping", R"({"id":4,"kind":"ping"})"), "{}");
+  EXPECT_EQ(spec("no_such_kind", R"({"id":5,"kind":"no_such_kind","x":1})"), "{}");
 }
 
 /// Parse a slow-log file into records, failing the test on any line that is

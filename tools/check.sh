@@ -12,8 +12,9 @@
 #   trace   record spans, aggregate with `gamma trace`, span stream
 #           byte-identical across --jobs
 #   serve   start the daemon on an ephemeral port, query it through `gamma
-#           client` (bytes == `gamma store query`), SIGTERM, assert a clean
-#           drain and exit 0
+#           client` (bytes == `gamma store query`), submit a study whose
+#           seed needs 16 digits (store == `gamma study --store-out`),
+#           SIGTERM, assert a clean drain and exit 0
 #   chaos   SIGKILL the daemon and restart it on the same port, first under
 #           a dead-port window and then under concurrent retry-armed client
 #           load; every `gamma client query --retry` must succeed with bytes
@@ -35,7 +36,8 @@
 #           (O never made) must each fail with a structured error (exit
 #           nonzero, below 128), never a signal; a port file holding "1abc"
 #           and `client ping --retry-base-ms nan` must exit 2 without
-#           dialing; `gamma run --out` into a missing directory must create it
+#           dialing, as must `store query --report` beside a scan flag;
+#           `gamma run --out` into a missing directory must create it
 #
 # Sanitizers:
 #   tsan  -> shared-state suites (thread pool, parallel study runner,
@@ -207,6 +209,14 @@ arm_serve() {
     --out "$SMOKE/serve/direct_flows.json" >/dev/null
   diff "$SMOKE/serve/served_flows.json" "$SMOKE/serve/direct_flows.json"
   echo "   served flows (chunked wire) byte-identical after reassembly"
+  # A submitted study is the study `gamma study` runs, down to a seed past
+  # ten digits: the wire carries every count below 2^53 exactly.
+  "$GAMMA" study --country NZ --seed 1000000000000003 \
+    --store-out "$SMOKE/serve/direct_seed.gmst" >/dev/null
+  "$GAMMA" client submit --port-file "$SMOKE/serve/port" --country NZ \
+    --seed 1000000000000003 --store-out "$SMOKE/serve/served_seed.gmst" >/dev/null
+  cmp "$SMOKE/serve/direct_seed.gmst" "$SMOKE/serve/served_seed.gmst"
+  echo "   submitted study (seed 1000000000000003) wrote the same store as \`gamma study\`"
   # Slow-reader probe: pour garbage at the daemon from a client that never
   # reads its replies, for up to 3 seconds. The reactor plane must shed it
   # (bad_json floods to a non-reader become a slow-reader disconnect) while
@@ -491,6 +501,10 @@ arm_hostile() {
   printf '1abc\n' > "$SMOKE/hostile/port"
   usage_error client ping --port-file "$SMOKE/hostile/port"
   usage_error client ping --port 1 --retry-base-ms nan
+  # A report is one fixed paper table: a scan flag beside it is refused
+  # before the store is opened, not dropped.
+  usage_error store query "$SMOKE/hostile/scale.gmst" --report coverage --table countries \
+    --where code=NZ --limit 1 --flows --group-by org
   # --out DIR is created before any work: a path under a regular file is
   # refused up front, and a missing directory is made.
   : > "$SMOKE/hostile/file"
@@ -522,7 +536,7 @@ run_arm "serve smoke: daemon up, client query, SIGTERM drain" arm_serve
 run_arm "chaos smoke: SIGKILL + restart under retry-armed client load" arm_chaos
 run_arm "shard smoke: kill mid-run, resume, merge, byte-diff all reports" arm_shard
 run_arm "pulse smoke: slow-log at --slow-ms 0, study_status to done, gamma top" arm_pulse
-run_arm "hostile smoke: bad country, bad numeric flags, inapplicable flags, broken study rules, bad port file, foreign policy query, --out with --shard-dir exit cleanly; --out dirs made up front" arm_hostile
+run_arm "hostile smoke: bad country, bad numeric flags, inapplicable flags, --report beside a scan flag, broken study rules, bad port file, foreign policy query, --out with --shard-dir exit cleanly; --out dirs made up front" arm_hostile
 
 finish() {
   if [[ ${#FAILURES[@]} -gt 0 ]]; then

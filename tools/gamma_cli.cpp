@@ -22,6 +22,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -37,10 +38,8 @@
 #include "core/recorder.h"
 #include "serve/client.h"
 #include "serve/server.h"
-#include "store/query.h"
 #include "store/reader.h"
 #include "store/shard.h"
-#include "store/reports.h"
 #include "util/fault.h"
 #include "util/io.h"
 #include "util/logging.h"
@@ -494,51 +493,43 @@ int cmd_store_merge(const Args& args) {
   return 0;
 }
 
-// `gamma store query FILE` — mapped-store scans and paper reports.
-// Structured store errors (crc_mismatch, bad_magic, ...) go to stderr and
-// exit non-zero; a corrupted store is a diagnosis, never a crash.
-int cmd_store_query(const Args& args) {
-  if (args.files.empty()) {
-    std::fprintf(stderr, "store query: need a FILE.gmst argument\n");
-    return 1;
-  }
-  store::Error error;
-  std::unique_ptr<store::Reader> reader = store::Reader::open(args.files[0], &error);
-  if (!reader) {
-    std::fprintf(stderr, "store query: cannot open %s: %s\n", args.files[0].c_str(),
-                 error.to_string().c_str());
-    return 1;
-  }
-
-  util::Json doc;
+// The query request of `gamma store query` and `gamma client query`: a
+// paper report, or a scan of --table shaped by the other query flags.
+util::Json query_frame(const Args& args) {
+  util::Json frame = util::Json::object();
   if (!args.report.empty()) {
-    util::StatusOr<util::Json> report = store::report_json(*reader, args.report);
-    if (!report.ok()) {
-      std::fprintf(stderr, "store query: %s\n", report.status().message().c_str());
-      return 1;
-    }
-    doc = std::move(*report);
-  } else {
-    store::QuerySpec spec;
-    auto table = store::table_from_name(args.table);
-    if (!table) {
-      std::fprintf(stderr, "store query: unknown table '%s' (countries|sites|hits)\n",
-                   args.table.c_str());
-      return 1;
-    }
-    spec.table = *table;
-    spec.where = args.wheres;
-    spec.group_by = args.group_by;
-    spec.flows = args.flows;
-    spec.limit = args.limit;
-    std::optional<util::Json> result = store::Query(*reader).run(spec, &error);
-    if (!result) {
-      std::fprintf(stderr, "store query: %s\n", error.to_string().c_str());
-      return 1;
-    }
-    doc = std::move(*result);
+    frame["report"] = args.report;
+    return frame;
   }
+  frame["table"] = args.table;
+  if (!args.wheres.empty()) {
+    util::Json where = util::Json::array();
+    for (const auto& [column, value] : args.wheres) {
+      util::Json pred = util::Json::array();
+      pred.push_back(column);
+      pred.push_back(value);
+      where.push_back(std::move(pred));
+    }
+    frame["where"] = std::move(where);
+  }
+  if (!args.group_by.empty()) frame["group_by"] = args.group_by;
+  if (args.flows) frame["flows"] = true;
+  if (args.limit > 0) frame["limit"] = args.limit;
+  return frame;
+}
 
+// The daemon's own check on a request the command line built, run before
+// any store is opened or daemon dialed: a count a JSON number cannot carry
+// exactly (2^53 and up) is a usage error, never a different request.
+bool checked_request(const char* command, const std::string& kind, const util::Json& frame) {
+  util::Status checked = serve::check_request(*serve::find_rpc(kind), frame);
+  if (!checked.ok()) std::fprintf(stderr, "%s: %s\n", command, checked.message().c_str());
+  return checked.ok();
+}
+
+// Writes `doc` as `store query` and `client` print it: dump(2) to --out, or
+// to stdout.
+int print_doc(const Args& args, const util::Json& doc) {
   std::string json = doc.dump(2);
   if (!args.out.empty()) {
     if (!write_file(args.out, json)) return 1;
@@ -547,6 +538,32 @@ int cmd_store_query(const Args& args) {
     std::printf("%s\n", json.c_str());
   }
   return 0;
+}
+
+// `gamma store query FILE` — mapped-store scans and paper reports, answered
+// by the function behind the daemon's query kind, so the bytes match.
+// Structured store errors (crc_mismatch, bad_magic, ...) go to stderr and
+// exit non-zero; a corrupted store is a diagnosis, never a crash.
+int cmd_store_query(const Args& args) {
+  if (args.files.empty()) {
+    std::fprintf(stderr, "store query: need a FILE.gmst argument\n");
+    return 1;
+  }
+  const util::Json frame = query_frame(args);
+  if (!checked_request("store query", "query", frame)) return 2;
+  store::Error error;
+  std::unique_ptr<store::Reader> reader = store::Reader::open(args.files[0], &error);
+  if (!reader) {
+    std::fprintf(stderr, "store query: cannot open %s: %s\n", args.files[0].c_str(),
+                 error.to_string().c_str());
+    return 1;
+  }
+  util::StatusOr<util::Json> doc = serve::answer_query(*reader, frame);
+  if (!doc.ok()) {
+    std::fprintf(stderr, "store query: %s\n", doc.status().message().c_str());
+    return 1;
+  }
+  return print_doc(args, *doc);
 }
 
 // `gamma serve` / `gamma client` — the serve plane. The daemon runs until a
@@ -681,33 +698,12 @@ std::unique_ptr<serve::Client> dial_client(const Args& args, int& rc) {
 }
 
 int cmd_client(const Args& args) {
-  int rc = 1;
-  std::unique_ptr<serve::Client> client = dial_client(args, rc);
-  if (!client) return rc;
-
   std::string kind = args.subcommand;
   util::Json params = util::Json::object();
   if (kind == "query") {
+    params = query_frame(args);
     const std::string& store = args.server.service.store_path;
     if (!store.empty()) params["store"] = store;
-    if (!args.report.empty()) {
-      params["report"] = args.report;
-    } else {
-      params["table"] = args.table;
-      if (!args.wheres.empty()) {
-        util::Json where = util::Json::array();
-        for (const auto& [column, value] : args.wheres) {
-          util::Json pred = util::Json::array();
-          pred.push_back(column);
-          pred.push_back(value);
-          where.push_back(std::move(pred));
-        }
-        params["where"] = std::move(where);
-      }
-      if (!args.group_by.empty()) params["group_by"] = args.group_by;
-      if (args.flows) params["flows"] = true;
-      if (args.limit > 0) params["limit"] = args.limit;
-    }
   } else if (kind == "submit" || kind == "submit_study") {
     kind = "submit_study";
     params["seed"] = args.study.seed;
@@ -722,7 +718,11 @@ int cmd_client(const Args& args) {
   } else if (kind == "study_status") {
     if (args.job > 0) params["job"] = static_cast<double>(args.job);
   }
+  if (!checked_request("client", kind, params)) return 2;
 
+  int rc = 1;
+  std::unique_ptr<serve::Client> client = dial_client(args, rc);
+  if (!client) return rc;
   auto reply = client->call(kind, std::move(params));
   if (!reply.ok()) {
     std::fprintf(stderr, "client: %s\n", reply.status().to_string().c_str());
@@ -738,14 +738,7 @@ int cmd_client(const Args& args) {
   const util::Json* result = reply->find("result");
   // Output semantics mirror `gamma store query` exactly: the serve smoke arm
   // and test harness diff the two paths' --out files byte-for-byte.
-  std::string json = result ? result->dump(2) : "{}";
-  if (!args.out.empty()) {
-    if (!write_file(args.out, json)) return 1;
-    std::printf("wrote %s\n", args.out.c_str());
-  } else {
-    std::printf("%s\n", json.c_str());
-  }
-  return 0;
+  return print_doc(args, result ? *result : util::Json::object());
 }
 
 // ---------------------------------------------------------------------------
@@ -753,13 +746,6 @@ int cmd_client(const Args& args) {
 // three *inline* RPCs (stats, health, study_status), so the dashboard keeps
 // answering while the data-plane queue is full, rate-limited, or draining —
 // exactly the moments an operator reaches for it.
-
-// The serve-plane RPC vocabulary (mirrors serve/pulse.cpp kKinds; kinds with
-// zero requests are omitted from the dashboard rather than rendered empty).
-constexpr const char* kTopKinds[] = {"ping",         "health",       "stats",
-                                     "shutdown",     "open",         "query",
-                                     "submit_study", "study_status", "sleep",
-                                     "unknown"};
 
 // Upper-bound percentile estimate from a util::metrics histogram snapshot
 // ({"bounds": [...], "counts": [...len bounds+1], "count": N}): the bound of
@@ -794,8 +780,13 @@ util::Json top_sample(const util::Json& metrics, const util::Json& health,
   };
   util::Json rpc = util::Json::object();
   double requests = 0.0;
-  for (const char* kind : kTopKinds) {
-    std::string base = std::string("serve.rpc.") + kind;
+  // A row per kind of the request table, and one for the kinds it does not
+  // declare; kinds with no requests are omitted rather than rendered empty.
+  std::vector<std::string> kinds;
+  for (const serve::Rpc& row : serve::rpcs()) kinds.emplace_back(row.kind);
+  kinds.emplace_back(serve::kUnknownKind);
+  for (const std::string& kind : kinds) {
+    std::string base = "serve.rpc." + kind;
     double n = counter(base + ".requests");
     if (n <= 0.0) continue;
     requests += n;
@@ -931,9 +922,8 @@ int cmd_top(const Args& args) {
     }
     std::fflush(stdout);
     if (args.once) return 0;
-    double interval = std::max(args.interval_ms, 100.0);
     std::this_thread::sleep_for(
-        std::chrono::microseconds(static_cast<long long>(interval * 1000.0)));
+        std::chrono::microseconds(static_cast<long long>(args.interval_ms * 1000.0)));
   }
 }
 
@@ -953,13 +943,9 @@ int cmd_slowlog(const Args& args) {
                  errno != 0 ? std::strerror(errno) : "stream open failed");
     return 1;
   }
-  // The normative record schema (DESIGN §14). A field may be legitimately
-  // zero/false/empty but never absent.
-  static constexpr const char* kSchema[] = {
-      "kind",      "id",       "session",      "spec",
-      "ok",        "error",    "inline",       "queue_wait_ms",
-      "handle_ms", "flush_ms", "total_ms",     "reply_bytes",
-      "chunks",    "rate_limited", "backpressure", "delivered"};
+  // The normative record schema (DESIGN §14): every field the daemon's
+  // SlowLog writes. A field may be zero/false/empty but never absent.
+  const util::Json schema = serve::SlowLog::record_json({}, {}, false);
   std::string line;
   size_t lineno = 0, records = 0, malformed = 0, undelivered = 0;
   std::map<std::string, size_t> by_kind;
@@ -975,9 +961,9 @@ int cmd_slowlog(const Args& args) {
       continue;
     }
     bool missing = false;
-    for (const char* key : kSchema) {
+    for (const auto& [key, unused] : schema.fields()) {
       if (!rec->has(key)) {
-        std::fprintf(stderr, "slowlog: line %zu missing field '%s'\n", lineno, key);
+        std::fprintf(stderr, "slowlog: line %zu missing field '%s'\n", lineno, key.c_str());
         missing = true;
       }
     }
@@ -1202,8 +1188,8 @@ struct Flag {
   uint32_t commands;  // the commands that read it
   Field field;
   const char* help;
-  size_t min = 0;     // counts only
-  size_t max = 0;
+  size_t min = 0;     // counts and reals
+  size_t max = 0;     // counts only
 };
 
 constexpr size_t kMaxCount = std::numeric_limits<size_t>::max();
@@ -1303,7 +1289,7 @@ const Flag kFlags[] = {
     {"--json", "", kTop | kSlowlog, [](Args& a) -> auto& { return a.json; },
      "machine-readable JSON output"},
     {"--interval-ms", "MS", kTop, [](Args& a) -> auto& { return a.interval_ms; },
-     "refresh period"},
+     "refresh period", 100},
     // Every command.
     {"--metrics-out", "FILE", kEvery, [](Args& a) -> auto& { return a.metrics_out; },
      "dump metrics after the command: JSON to FILE,\nPrometheus text to FILE.prom"},
@@ -1335,8 +1321,8 @@ bool set_flag(const Flag& flag, Args& args, const char* value) {
           else expected = "COL=VAL";
         } else if constexpr (std::is_same_v<T, double>) {
           std::optional<double> x = parse_nonneg_real(value);
-          if (x) target = *x;
-          else expected = "a finite number >= 0";
+          if (x && *x >= flag.min) target = *x;
+          else expected = "a finite number >= " + std::to_string(flag.min);
         } else {
           std::optional<size_t> n = parse_count(value, flag.min, flag.max);
           if (n) target = static_cast<T>(*n);
@@ -1349,12 +1335,15 @@ bool set_flag(const Flag& flag, Args& args, const char* value) {
   return false;
 }
 
-// A count's range when it binds (a maximum below INT_MAX), then
-// " (default X)" when a fresh Args holds a non-zero, non-empty value.
+// A count's range when it binds (a maximum below INT_MAX), a real's floor
+// when it is above 0, then " (default X)" when a fresh Args holds a
+// non-zero, non-empty value.
 std::string value_note(const Flag& flag) {
   std::string note;
   if (flag.max != 0 && flag.max < static_cast<size_t>(std::numeric_limits<int>::max())) {
     note = " " + count_range(flag);
+  } else if (flag.min > 0) {
+    note = ", at least " + std::to_string(flag.min);
   }
   Args fresh;
   std::string shown = std::visit(
@@ -1425,6 +1414,7 @@ const Command* parse_args(int argc, char** argv, Args& args) {
     usage();
     return nullptr;
   }
+  std::set<std::string_view> given;  // the flags argv names
   for (int i = has_sub ? 3 : 2; i < argc; ++i) {
     const char* arg = argv[i];
     if (arg[0] != '-') {
@@ -1456,6 +1446,14 @@ const Command* parse_args(int argc, char** argv, Args& args) {
       value = argv[++i];
     }
     if (!set_flag(*flag, args, value)) return nullptr;
+    given.insert(flag->name);
+  }
+  // A report is one fixed paper table: a scan flag beside it shapes nothing.
+  for (const char* scan : {"--table", "--where", "--group-by", "--flows", "--limit"}) {
+    if (given.contains("--report") && given.contains(scan)) {
+      std::fprintf(stderr, "--report excludes %s\n", scan);
+      return nullptr;
+    }
   }
   return command;
 }
