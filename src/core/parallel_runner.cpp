@@ -21,7 +21,11 @@ size_t ParallelStudyRunner::resolve_jobs(size_t jobs) {
   return jobs == 0 ? util::ThreadPool::hardware_threads() : jobs;
 }
 
+size_t ParallelStudyRunner::workers(size_t jobs, size_t tasks) {
+  return std::clamp<size_t>(tasks, 1, resolve_jobs(jobs));
+}
+
 ParallelStudyRunner::ParallelStudyRunner(size_t jobs, size_t countries)
-    : pool_(std::clamp<size_t>(countries, 1, resolve_jobs(jobs))) {}
+    : pool_(workers(jobs, countries)) {}
 
 }  // namespace gam::core

@@ -46,6 +46,10 @@ class ParallelStudyRunner {
   /// Clamp a user-supplied --jobs value: 0 -> hardware threads, else as-is.
   static size_t resolve_jobs(size_t jobs);
 
+  /// The pool size for `jobs` over `tasks` tasks: resolve_jobs(jobs), at
+  /// most `tasks` and at least one.
+  static size_t workers(size_t jobs, size_t tasks);
+
   /// Run stage(i, country, attempt) for every country concurrently behind a
   /// per-country circuit breaker: a throwing stage is retried up to
   /// `attempts` times (attempt starts at 1), then the breaker opens and

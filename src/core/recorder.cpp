@@ -53,6 +53,11 @@ std::optional<web::NetworkRequest> request_from_json(const util::Json& j) {
 
 }  // namespace
 
+std::string trace_text(const TracerouteRecord& trace) {
+  std::optional<probe::OsKind> os = probe::os_kind_from_name(trace.os);
+  return os ? probe::format_for(trace.measured, *os) : std::string();
+}
+
 util::Json dataset_to_json(const VolunteerDataset& dataset) {
   util::Json doc = util::Json::object();
   doc["volunteer_id"] = dataset.volunteer_id;
@@ -99,13 +104,20 @@ util::Json dataset_to_json(const VolunteerDataset& dataset) {
     tr["reached"] = t.reached;
     tr["first_hop_ms"] = t.first_hop_ms;
     tr["last_hop_ms"] = t.last_hop_ms;
-    tr["normalized"] = t.normalized;
-    // Fault-plane bookkeeping, only-when-set: fault-free datasets serialize
-    // byte-identically to builds without the fault plane. Both fields feed
-    // back into analysis (degradation decisions), so they must round-trip
-    // through the checkpoint journal.
+    // C3's published form: the OS tool's text, normalized. A restored record
+    // republishes the document it was read with.
+    probe::NormalizedTrace norm =
+        t.published ? *t.published
+                    : probe::normalize_traceroute_checked(
+                          trace_text(t),
+                          probe::os_kind_from_name(t.os).value_or(probe::OsKind::Linux));
+    tr["normalized"] = std::move(norm.doc);
+    // Only-when-set: fault-free datasets serialize byte-identically to
+    // builds without the fault plane. `fault_injected` feeds back into
+    // analysis (degradation decisions), so it must round-trip through the
+    // checkpoint journal.
     if (t.fault_injected) tr["fault_injected"] = true;
-    if (!t.normalize_error.empty()) tr["normalize_error"] = t.normalize_error;
+    if (!norm.error.empty()) tr["normalize_error"] = std::move(norm.error);
     traces[net::ip_to_string(ip)] = std::move(tr);
   }
   doc["traces"] = std::move(traces);
@@ -174,8 +186,9 @@ std::optional<VolunteerDataset> dataset_from_json(const util::Json& doc) {
       rec.first_hop_ms = tr.get_number("first_hop_ms");
       rec.last_hop_ms = tr.get_number("last_hop_ms");
       rec.fault_injected = tr.get_bool("fault_injected");
-      rec.normalize_error = tr.get_string("normalize_error");
-      if (const util::Json* norm = tr.find("normalized")) rec.normalized = *norm;
+      probe::NormalizedTrace& published = rec.published.emplace();
+      if (const util::Json* norm = tr.find("normalized")) published.doc = *norm;
+      published.error = tr.get_string("normalize_error");
       ds.traces[*ip] = std::move(rec);
     }
   }

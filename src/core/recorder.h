@@ -18,11 +18,23 @@
 
 namespace gam::core {
 
-/// Full dataset -> JSON (round-trippable).
+/// Full dataset -> JSON (round-trippable): the one serializer behind
+/// `--out`, `gamma run` and the memory-mode journal. Each measured trace is
+/// rendered here, with its OS tool (trace_text), and normalized into the
+/// canonical schema ("normalized", plus "normalize_error" when the
+/// normalizer refuses the text); a restored trace republishes the document
+/// it was read with.
 util::Json dataset_to_json(const VolunteerDataset& dataset);
 
-/// JSON -> dataset. nullopt on schema violations.
+/// JSON -> dataset. nullopt on schema violations. Every trace keeps the
+/// "normalized" / "normalize_error" it was read with
+/// (TracerouteRecord::published).
 std::optional<VolunteerDataset> dataset_from_json(const util::Json& doc);
+
+/// The text `trace`'s OS tool prints for its measured hops: the input
+/// dataset_to_json normalizes. Empty for a tool other than the three
+/// os_kind_name names, which the normalizer then refuses.
+std::string trace_text(const TracerouteRecord& trace);
 
 /// Remove chromedriver background requests (and any requests to the known
 /// webdriver service domains) from every site record. Returns the number of

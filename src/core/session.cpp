@@ -10,6 +10,27 @@
 
 namespace gam::core {
 
+namespace {
+
+/// One attempted trace as a session or repair pass stores it: the typed hops
+/// and the values the analysis reads. Nothing is rendered here.
+TracerouteRecord attempted_trace(net::IPv4 ip, std::string os, std::string source,
+                                 probe::TracerouteResult trace) {
+  TracerouteRecord rec;
+  rec.ip = ip;
+  rec.attempted = true;
+  rec.os = std::move(os);
+  rec.source = std::move(source);
+  rec.fault_injected = trace.fault_injected;
+  rec.reached = trace.reached;
+  rec.first_hop_ms = trace.first_hop_rtt_ms();
+  rec.last_hop_ms = trace.last_hop_rtt_ms();
+  rec.measured = std::move(trace);
+  return rec;
+}
+
+}  // namespace
+
 size_t VolunteerDataset::loaded_sites() const {
   size_t n = 0;
   for (const auto& s : sites) {
@@ -116,11 +137,6 @@ void GammaSession::measure_site(const std::string& domain) {
         static util::Counter& launched =
             util::MetricsRegistry::instance().counter("core.traceroutes_launched");
         launched.inc();
-        TracerouteRecord rec;
-        rec.ip = ip;
-        rec.attempted = true;
-        rec.source = "volunteer";
-        rec.os = probe::os_kind_name(profile_.os);
         probe::TracerouteOptions opts = config_.traceroute;
         opts.blocked_prob = profile_.traceroute_blocked_prob;
         probe::TracerouteResult trace;
@@ -138,18 +154,11 @@ void GammaSession::measure_site(const std::string& domain) {
                                       "src#" + std::to_string(attempt));
             return !trace.fault_injected;
           });
-          rec.fault_injected = trace.fault_injected;
         } else {
           trace = traceroute_.trace(profile_.node, ip, opts, rng_);
         }
-        rec.raw_text = probe::format_for(trace, profile_.os);
-        auto norm = probe::normalize_traceroute_checked(rec.raw_text, profile_.os);
-        rec.normalized = std::move(norm.doc);
-        rec.normalize_error = norm.error;
-        rec.reached = trace.reached;
-        rec.first_hop_ms = trace.first_hop_rtt_ms();
-        rec.last_hop_ms = trace.last_hop_rtt_ms();
-        dataset_.traces.emplace(ip, std::move(rec));
+        dataset_.traces.emplace(ip, attempted_trace(ip, probe::os_kind_name(profile_.os),
+                                                    "volunteer", std::move(trace)));
       }
     }
   }
@@ -192,22 +201,10 @@ size_t augment_with_atlas_traceroutes(VolunteerDataset& dataset, const GammaEnv&
   for (net::IPv4 ip : wanted) {
     auto it = dataset.traces.find(ip);
     if (it != dataset.traces.end() && it->second.reached) continue;  // already usable
-    TracerouteRecord rec;
-    rec.ip = ip;
-    rec.attempted = true;
-    rec.source = "atlas:" + std::to_string(probe->id);
-    rec.os = "linux";  // Atlas probes report a uniform format
-    probe::TracerouteResult trace =
-        engine.trace(probe->node, ip, opts, rng, env.faults, "repair/" + dataset.country);
-    rec.fault_injected = trace.fault_injected;
-    rec.raw_text = probe::format_linux(trace);
-    auto norm = probe::normalize_traceroute_checked(rec.raw_text, probe::OsKind::Linux);
-    rec.normalized = std::move(norm.doc);
-    rec.normalize_error = norm.error;
-    rec.reached = trace.reached;
-    rec.first_hop_ms = trace.first_hop_rtt_ms();
-    rec.last_hop_ms = trace.last_hop_rtt_ms();
-    dataset.traces[ip] = std::move(rec);
+    // Atlas probes report a uniform format: Linux traceroute's.
+    dataset.traces[ip] = attempted_trace(
+        ip, probe::os_kind_name(probe::OsKind::Linux), "atlas:" + std::to_string(probe->id),
+        engine.trace(probe->node, ip, opts, rng, env.faults, "repair/" + dataset.country));
     ++repaired;
   }
   return repaired;

@@ -6,8 +6,11 @@
 //   C2  resolve forward DNS (already part of each request) and reverse DNS
 //       for every responding address;
 //   C3  traceroute every *new* resolved address (deduplicated across the
-//       whole session), rendering the output with the volunteer's native OS
-//       tool and normalizing it into the canonical JSON schema.
+//       whole session). The session keeps each trace's typed hops; the text
+//       the volunteer's native OS tool prints, normalized into the canonical
+//       JSON schema, is rendered only where a dataset is published
+//       (core::dataset_to_json), since the analysis reads only the typed
+//       reached / first-hop / last-hop values.
 // Operational behaviours from §3.3/§3.5 are first-class: sessions are
 // resumable (step() measures one site; a re-created session continues from
 // a completed-site count), volunteers can opt out of individual sites or of
@@ -60,13 +63,14 @@ struct VolunteerProfile {
   std::set<std::string> site_opt_outs;   // specific T_web entries declined
 };
 
-/// One traceroute as stored: the OS-native text and its normalization.
+/// One traceroute as stored: the measured hops and the values the analysis
+/// reads. Its published form (the OS tool's text, normalized) is rendered
+/// by core::dataset_to_json.
 struct TracerouteRecord {
   net::IPv4 ip = 0;
   bool attempted = false;
-  std::string os;        // which tool produced raw_text
-  std::string raw_text;  // traceroute/tracert output
-  util::Json normalized; // canonical JSON (see probe/formats.h)
+  std::string os;        // the tool that prints `measured`: "linux", "windows", "macos"
+  probe::TracerouteResult measured;  // typed hops; empty on a restored record
   bool reached = false;
   double first_hop_ms = 0.0;
   double last_hop_ms = 0.0;
@@ -74,8 +78,11 @@ struct TracerouteRecord {
   /// The run was killed by the fault plane even after the retry budget —
   /// downstream treats this as missing infrastructure, not path evidence.
   bool fault_injected = false;
-  /// Structured normalizer diagnostic ("" = parsed cleanly).
-  std::string normalize_error;
+  /// Set only on a record restored by core::dataset_from_json (journal
+  /// resume): the `normalized` document and `normalize_error` it was read
+  /// with, published verbatim. The text round trip already rounded their
+  /// RTTs, and a failed normalization has no hops to render again.
+  std::optional<probe::NormalizedTrace> published;
 };
 
 /// Per-site record: the page load plus C2 results for its domains.

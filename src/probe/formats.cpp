@@ -17,6 +17,13 @@ std::string os_kind_name(OsKind os) {
   return "?";
 }
 
+std::optional<OsKind> os_kind_from_name(std::string_view name) {
+  for (OsKind os : {OsKind::Linux, OsKind::Windows, OsKind::MacOs}) {
+    if (name == os_kind_name(os)) return os;
+  }
+  return std::nullopt;
+}
+
 std::string format_linux(const TracerouteResult& result) {
   std::string out = util::format("traceroute to %s (%s), %d hops max, 60 byte packets\n",
                                  result.target.c_str(), result.target.c_str(),

@@ -13,6 +13,7 @@
 // rounding.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -24,6 +25,9 @@ namespace gam::probe {
 enum class OsKind { Linux, Windows, MacOs };
 
 std::string os_kind_name(OsKind os);
+
+/// Inverse of os_kind_name; nullopt for any other name.
+std::optional<OsKind> os_kind_from_name(std::string_view name);
 
 /// GNU traceroute-style text ("traceroute to 10.1.2.3 ..., 30 hops max").
 std::string format_linux(const TracerouteResult& result);

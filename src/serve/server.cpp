@@ -474,6 +474,15 @@ void Server::handle_frame(const std::shared_ptr<Session>& session, util::Json fr
                 error_reply(0, "invalid_argument", "request must be a JSON object"));
     return;
   }
+  // A pipelining client matches replies by id, so an id it could not match
+  // (a string, a fraction, one at or past 2^53) is refused, as a non-object
+  // frame is: with reply id 0.
+  if (const util::Json* raw_id = frame.find("id"); raw_id && !is_count(*raw_id)) {
+    protocol_errors().inc();
+    write_reply(*session, error_reply(0, "invalid_argument",
+                                      "request \"id\" must be an integer in [0, 2^53)"));
+    return;
+  }
   double id = frame.get_number("id", 0.0);
   std::string kind = frame.get_string("kind");
   if (kind.empty()) {

@@ -10,6 +10,7 @@
 #include <string_view>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "analysis/flows.h"
 #include "analysis/prevalence.h"
@@ -48,8 +49,7 @@ std::string misfit(const RpcKey& key, const util::Json& value) {
   const double d = value.as_number(-1.0);
   switch (key.type) {
     case KeyType::kString: return value.is_string() ? "" : "a string";
-    case KeyType::kCount:
-      return d >= 0 && d == std::floor(d) && d < 0x1p53 ? "" : "an integer in [0, 2^53)";
+    case KeyType::kCount: return is_count(value) ? "" : "an integer in [0, 2^53)";
     case KeyType::kBool: return value.is_bool() ? "" : "true or false";
     case KeyType::kNumber:
       return d >= 0 && d <= key.max ? "" : "a number in [0, " + util::Json(key.max).dump() + "]";
@@ -57,6 +57,20 @@ std::string misfit(const RpcKey& key, const util::Json& value) {
     case KeyType::kPairs: return all(is_pair) ? "" : "an array of [column, value] string pairs";
   }
   return "";
+}
+
+/// serve.requests.<kind> for a row of rpcs(): every row's counter is
+/// registered once, on first use, so a request takes no registry lock.
+util::Counter& kind_requests(const Rpc& rpc) {
+  static const std::vector<util::Counter*> counters = [] {
+    std::vector<util::Counter*> out;
+    for (const Rpc& row : rpcs()) {
+      out.push_back(
+          &util::MetricsRegistry::instance().counter(std::string("serve.requests.") + row.kind));
+    }
+    return out;
+  }();
+  return *counters[static_cast<size_t>(&rpc - rpcs().data())];
 }
 
 /// A count key check_request has passed (`fallback` when absent): exact in
@@ -151,6 +165,11 @@ std::span<const Rpc> rpcs() {
   return kRpcs;
 }
 
+bool is_count(const util::Json& value) {
+  const double d = value.as_number(-1.0);
+  return d >= 0 && d == std::floor(d) && d < 0x1p53;
+}
+
 const Rpc* find_rpc(std::string_view kind) {
   for (const Rpc& rpc : rpcs()) {
     if (kind == rpc.kind) return &rpc;
@@ -185,7 +204,7 @@ util::StatusOr<util::Json> Service::handle(Session& session, const std::string& 
 
   const Rpc* rpc = find_rpc(kind);
   if (!rpc) return util::Status::invalid_argument("unknown request kind '" + kind + "'");
-  util::MetricsRegistry::instance().counter("serve.requests." + kind).inc();
+  kind_requests(*rpc).inc();
   if (util::Status checked = check_request(*rpc, params); !checked.ok()) return checked;
   return (this->*rpc->handler)(session, params);
 }

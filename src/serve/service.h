@@ -69,6 +69,11 @@ struct Rpc {
 /// Every request kind the daemon answers, in one immutable table.
 std::span<const Rpc> rpcs();
 
+/// True for a count: a JSON number holding an integer in [0, 2^53), which a
+/// double holds exactly. The frame envelope's "id" and every kCount key are
+/// counts.
+bool is_count(const util::Json& value);
+
 /// The row for `kind`, or null for a kind the daemon does not answer.
 const Rpc* find_rpc(std::string_view kind);
 

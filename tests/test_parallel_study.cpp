@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include "analysis/study.h"
 #include "core/parallel_runner.h"
+#include "core/recorder.h"
 #include "worldgen/study.h"
 #include "worldgen/world.h"
 
@@ -141,6 +144,61 @@ TEST(ParallelStudy, RunnerNeverStartsMoreWorkersThanCountries) {
   EXPECT_EQ(core::ParallelStudyRunner(16, 2).jobs(), 2u);
   EXPECT_EQ(core::ParallelStudyRunner(0, 1).jobs(), 1u);
   EXPECT_EQ(core::ParallelStudyRunner(3, 0).jobs(), 1u);
+}
+
+// Every published trace (the OS tool's text, normalized) agrees with the
+// typed values the analysis reads, to the precision the text prints: "%.3f"
+// ms for GNU and macOS traceroute (and Atlas), whole ms and "<1" for tracert.
+TEST(ParallelStudy, PublishedTracesAgreeWithTypedValues) {
+  const worldgen::StudyResult study = run_with_jobs(42, 4);
+  auto mean_rtt = [](const util::Json& hop) {
+    const util::JsonArray& rtts = hop.find("rtt_ms")->items();
+    double sum = 0.0;
+    for (const util::Json& r : rtts) sum += r.as_number();
+    return sum / static_cast<double>(rtts.size());
+  };
+  std::map<std::string, size_t> per_os;
+  size_t atlas = 0;
+  double worst_text = 0.0, worst_tracert = 0.0;
+  for (const auto& ds : study.datasets) {
+    const util::Json doc = core::dataset_to_json(ds);
+    for (const auto& [ip, tr] : doc.find("traces")->fields()) {
+      SCOPED_TRACE(ds.country + " " + ip);
+      const std::string os = tr.get_string("os");
+      ++per_os[os];
+      if (tr.get_string("source").rfind("atlas:", 0) == 0) ++atlas;
+      ASSERT_FALSE(tr.has("normalize_error")) << tr.get_string("normalize_error");
+      const util::Json* normalized = tr.find("normalized");
+      ASSERT_TRUE(normalized && normalized->is_object());
+      const bool reached = tr.get_bool("reached");
+      EXPECT_EQ(normalized->get_bool("reached"), reached);
+
+      const bool tracert = os == "windows";
+      double& worst = tracert ? worst_tracert : worst_text;
+      const double precision = (tracert ? 0.5 : 0.0005) + 1e-9;
+      auto expect_rtt = [&](double published, double typed) {
+        worst = std::max(worst, std::abs(published - typed));
+        EXPECT_NEAR(published, typed, precision);
+      };
+      const util::JsonArray& hops = normalized->find("hops")->items();
+      auto first = std::find_if(hops.begin(), hops.end(), [](const util::Json& hop) {
+        return hop.find("ip")->is_string() && hop.find("rtt_ms")->size() > 0;
+      });
+      expect_rtt(first == hops.end() ? 0.0 : mean_rtt(*first), tr.get_number("first_hop_ms"));
+      if (reached) expect_rtt(mean_rtt(hops.back()), tr.get_number("last_hop_ms"));
+    }
+  }
+  // Every tool and the Atlas repair are covered.
+  EXPECT_GT(per_os["linux"], 0u);
+  EXPECT_GT(per_os["macos"], 0u);
+  EXPECT_GT(per_os["windows"], 0u);
+  EXPECT_GT(atlas, 0u);
+  RecordProperty("linux", static_cast<int>(per_os["linux"]));
+  RecordProperty("macos", static_cast<int>(per_os["macos"]));
+  RecordProperty("windows", static_cast<int>(per_os["windows"]));
+  RecordProperty("atlas", static_cast<int>(atlas));
+  RecordProperty("worst_text_ms", std::to_string(worst_text));
+  RecordProperty("worst_tracert_ms", std::to_string(worst_tracert));
 }
 
 TEST(ParallelStudy, UnknownCountryIsRejectedBeforeAnySession) {

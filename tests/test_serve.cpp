@@ -757,6 +757,37 @@ TEST(ServeFuzz, NonObjectAndMissingKindAreInvalidArgument) {
   EXPECT_EQ(must_error_code(client->call("no_such_kind")), "invalid_argument");
 }
 
+TEST(ServeFuzz, IdThatIsNotACountIsRefusedWithReplyIdZero) {
+  auto server = start_server();
+  auto client = connect(*server);
+  // Ids no pipelining client could match to its request: each was answered
+  // ok, as "id":0 or rounded to 9.007199255e+15.
+  const char* refused[] = {
+      R"({"id":"abc","kind":"ping"})",
+      R"({"id":[1],"kind":"sleep","ms":1})",
+      R"({"id":9007199254740993,"kind":"ping"})",
+  };
+  for (const char* text : refused) {
+    ASSERT_TRUE(client->send_bytes(serve::encode_frame(*util::Json::parse(text))).ok());
+    auto reply = client->read_reply();
+    ASSERT_TRUE(reply.ok()) << reply.status().to_string();
+    EXPECT_EQ(must_error_code(reply), "invalid_argument") << text;
+    EXPECT_NE(reply->find("error")->get_string("message").find("\"id\""), std::string::npos)
+        << text << " -> " << reply->dump();
+    EXPECT_EQ(reply->find("id")->dump(), "0") << text;
+  }
+  // The largest count still comes back exactly.
+  ASSERT_TRUE(client
+                  ->send_bytes(serve::encode_frame(
+                      *util::Json::parse(R"({"id":9007199254740991,"kind":"ping"})")))
+                  .ok());
+  auto reply = client->read_reply();
+  ASSERT_TRUE(reply.ok()) << reply.status().to_string();
+  EXPECT_TRUE(reply->get_bool("ok")) << reply->dump();
+  EXPECT_EQ(reply->find("id")->dump(), "9007199254740991");
+  EXPECT_TRUE(must_result(client->call("ping")).get_bool("pong"));
+}
+
 TEST(ServeFuzz, SeededGarbageNeverKillsTheServer) {
   auto server = start_server();
   util::Rng rng = util::Rng::substream(4242, "serve-fuzz");

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "core/recorder.h"
 #include "util/strings.h"
 #include "worldgen/world.h"
@@ -87,17 +89,25 @@ TEST_F(SessionFixture, TraceroutesDedupedAcrossSites) {
 }
 
 TEST_F(SessionFixture, WindowsVolunteerRecordsTracertOutput) {
-  // Pakistan's volunteer runs Windows (calibration): raw text is tracert.
+  // Pakistan's volunteer runs Windows (calibration): the recorder renders
+  // each trace as tracert text and publishes its normalization.
   GammaSession session = make_session("PK");
   session.run_all();
   const VolunteerDataset& ds = session.dataset();
   ASSERT_FALSE(ds.traces.empty());
+  const util::Json published = dataset_to_json(ds);
+  const util::Json* traces = published.find("traces");
+  ASSERT_TRUE(traces && traces->is_object());
   bool saw_windows_format = false;
   for (const auto& [ip, trace] : ds.traces) {
-    EXPECT_EQ(trace.os, "windows");
-    if (trace.raw_text.find("Tracing route to") != std::string::npos) {
+    const util::Json* doc = traces->find(net::ip_to_string(ip));
+    ASSERT_NE(doc, nullptr) << net::ip_to_string(ip);
+    EXPECT_EQ(doc->get_string("os"), "windows");
+    if (trace_text(trace).find("Tracing route to") != std::string::npos) {
       saw_windows_format = true;
-      EXPECT_TRUE(trace.normalized.is_object());  // normalizer handled tracert
+      const util::Json* normalized = doc->find("normalized");
+      ASSERT_NE(normalized, nullptr);
+      EXPECT_TRUE(normalized->is_object());  // normalizer handled tracert
     }
   }
   EXPECT_TRUE(saw_windows_format);
@@ -179,6 +189,38 @@ TEST_F(SessionFixture, DatasetJsonRoundTrip) {
   EXPECT_EQ(restored->sites.size(), ds.sites.size());
   EXPECT_EQ(restored->traces.size(), ds.traces.size());
   // Full fidelity: re-serialization is identical.
+  EXPECT_EQ(dataset_to_json(*restored).dump(), doc.dump());
+}
+
+TEST_F(SessionFixture, RestoredTracesPublishTheDocumentTheyWereReadWith) {
+  // A journaled record's "normalized" went through the OS text (its RTTs are
+  // rounded), and a journaled normalizer failure has no hops: a restored
+  // dataset must publish both as read, never render them again.
+  GammaSession session = make_session("PK", 23);
+  session.run_all();
+  util::Json doc = dataset_to_json(session.dataset());
+  util::Json& traces = doc["traces"];
+  ASSERT_GE(traces.fields().size(), 2u);
+  auto it = traces.fields().begin();
+  const std::string edited_rtt = it->first;
+  const std::string edited_error = std::next(it)->first;
+
+  // An RTT tracert could never print (it prints whole ms or "<1").
+  util::Json& rtt_trace = traces[edited_rtt];
+  ASSERT_EQ(rtt_trace.get_string("os"), "windows");
+  ASSERT_TRUE(rtt_trace["normalized"].is_object());
+  util::Json hop = util::Json::object();
+  hop["ttl"] = 1;
+  hop["ip"] = edited_rtt;
+  hop["hostname"] = nullptr;
+  hop["rtt_ms"] = util::Json(util::JsonArray{1.2345678, 2.5, 0.25});
+  rtt_trace["normalized"]["hops"] = util::Json(util::JsonArray{std::move(hop)});
+  // A journaled normalizer failure: no document, a structured error.
+  traces[edited_error]["normalized"] = nullptr;
+  traces[edited_error]["normalize_error"] = "malformed hop line";
+
+  auto restored = dataset_from_json(doc);
+  ASSERT_TRUE(restored.has_value());
   EXPECT_EQ(dataset_to_json(*restored).dump(), doc.dump());
 }
 

@@ -9,8 +9,8 @@
 #           uninterrupted output and GMST store byte-for-byte
 #   store   build a .gmst, query it (bytes == JSON analysis path), corrupt a
 #           copy (structured crc_mismatch, never a crash)
-#   trace   record spans, aggregate with `gamma trace`, span stream
-#           byte-identical across --jobs
+#   trace   record spans, aggregate with `gamma trace`, span stream and
+#           --out files byte-identical across --jobs
 #   serve   start the daemon on an ephemeral port, query it through `gamma
 #           client` (bytes == `gamma store query`), submit a study whose
 #           seed needs 16 digits (store == `gamma study --store-out`),
@@ -150,7 +150,7 @@ arm_trace() {
   mkdir -p "$SMOKE/trace"
   "$GAMMA" study --seed 21 --jobs 1 --country US --country GB --country IN \
     --trace-out "$SMOKE/trace/t1.json" --trace-jsonl "$SMOKE/trace/s1.jsonl" \
-    --log-json "$SMOKE/trace/log.jsonl" >/dev/null
+    --log-json "$SMOKE/trace/log.jsonl" --out "$SMOKE/trace/out1" >/dev/null
   test -s "$SMOKE/trace/log.jsonl"
   # The Chrome export must be valid JSON that the reporter can aggregate.
   "$GAMMA" trace "$SMOKE/trace/t1.json" --out "$SMOKE/trace/report.json" >/dev/null
@@ -158,11 +158,13 @@ arm_trace() {
   grep -q '"critical_paths"' "$SMOKE/trace/report.json"
   # The JSONL stream parses through the same reporter ...
   "$GAMMA" trace "$SMOKE/trace/s1.jsonl" >/dev/null
-  # ... and a parallel rerun must reproduce it byte-for-byte.
+  # ... and a parallel rerun, which also writes its --out files in parallel,
+  # must reproduce the stream and every file byte-for-byte.
   "$GAMMA" study --seed 21 --jobs 4 --country US --country GB --country IN \
-    --trace-jsonl "$SMOKE/trace/s4.jsonl" >/dev/null
+    --trace-jsonl "$SMOKE/trace/s4.jsonl" --out "$SMOKE/trace/out4" >/dev/null
   diff "$SMOKE/trace/s1.jsonl" "$SMOKE/trace/s4.jsonl"
-  echo "   span stream byte-identical for --jobs 1 and --jobs 4; report valid"
+  diff -r "$SMOKE/trace/out1" "$SMOKE/trace/out4"
+  echo "   span stream and --out files byte-identical for --jobs 1 and --jobs 4; report valid"
 }
 
 arm_serve() {

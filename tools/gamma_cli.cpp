@@ -35,6 +35,7 @@
 #include "analysis/report_json.h"
 #include "analysis/study.h"
 #include "analysis/trace_report.h"
+#include "core/parallel_runner.h"
 #include "core/recorder.h"
 #include "serve/client.h"
 #include "serve/server.h"
@@ -46,6 +47,7 @@
 #include "util/metrics.h"
 #include "util/retry.h"
 #include "util/strings.h"
+#include "util/thread_pool.h"
 #include "util/trace.h"
 #include "web/har.h"
 #include "worldgen/study.h"
@@ -405,17 +407,22 @@ int cmd_study(const Args& args) {
   }
   if (args.out.empty()) return trace_rc;
 
-  for (size_t i = 0; i < study->datasets.size(); ++i) {
+  // Each dataset file renders every trace with its OS tool and builds a
+  // DOM, so the country files are written on the study's --jobs workers;
+  // the summary goes last, once every country file is in place.
+  const size_t n = study->datasets.size();
+  util::ThreadPool pool(core::ParallelStudyRunner::workers(args.study.jobs, n));
+  std::atomic<bool> published = true;
+  util::parallel_for(pool, n, [&](size_t i) {
     const auto& ds = study->datasets[i];
     if (!write_file(args.out + "/dataset-" + ds.country + ".json",
-                    core::dataset_to_json(ds).dump(2))) {
-      return 1;
-    }
-    if (!write_file(args.out + "/analysis-" + ds.country + ".json",
+                    core::dataset_to_json(ds).dump(2)) ||
+        !write_file(args.out + "/analysis-" + ds.country + ".json",
                     analysis_summary(study->analyses[i]).dump(2))) {
-      return 1;
+      published = false;
     }
-  }
+  });
+  if (!published) return 1;
   util::Json summary = analysis::study_summary_json(study->analyses.size(), prev, flows);
   if (!write_file(args.out + "/study-summary.json", summary.dump(2))) return 1;
   std::printf("wrote %zu datasets + analyses + study-summary.json to %s\n",
