@@ -111,7 +111,7 @@ void BM_TracerouteNormalizeLinux(benchmark::State& state) {
   probe::TracerouteOptions opts;
   std::string text = probe::format_linux(engine.trace(vol.node, ans.primary(), opts, rng));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(probe::normalize_traceroute(text, probe::OsKind::Linux));
+    benchmark::DoNotOptimize(probe::normalize_traceroute_checked(text, probe::OsKind::Linux));
   }
 }
 BENCHMARK(BM_TracerouteNormalizeLinux);

@@ -161,7 +161,7 @@ class MultiConstraintGeolocator {
   /// confidence to Degraded, and continues with whatever evidence remains —
   /// instead of discarding the observation outright. Must be called before
   /// any concurrent classify() use; the pointer is borrowed.
-  void set_fault_injector(const util::FaultInjector* faults) { faults_ = faults; }
+  void set_faults(const util::FaultInjector* faults) { faults_ = faults; }
 
   const ConstraintConfig& config() const { return config_; }
 

@@ -275,8 +275,4 @@ NormalizedTrace normalize_traceroute_checked(std::string_view text, OsKind os) {
   return out;
 }
 
-util::Json normalize_traceroute(std::string_view text, OsKind os) {
-  return normalize_traceroute_checked(text, os).doc;
-}
-
 }  // namespace gam::probe

@@ -61,11 +61,6 @@ struct NormalizedTrace {
 /// `probe.normalize_failures` on failure.
 NormalizedTrace normalize_traceroute_checked(std::string_view text, OsKind os);
 
-/// Back-compat wrapper: the checked normalizer's doc, a null Json on parse
-/// failure. Prefer normalize_traceroute_checked — callers of this overload
-/// must still handle the null.
-util::Json normalize_traceroute(std::string_view text, OsKind os);
-
 /// Canonical JSON directly from the in-memory result (bypasses text); the
 /// normalizer's output must match this in structure.
 util::Json traceroute_to_json(const TracerouteResult& result);

@@ -233,32 +233,11 @@ util::StatusOr<util::Json> Service::handle_shutdown(Session&, const util::Json&)
   return result;
 }
 
-util::StatusOr<std::shared_ptr<store::Reader>> Service::resolve_store(
-    Session& session, const util::Json& params) {
-  std::string name = params.get_string("store");
-  auto reader = registry_.get(name);
-  if (!reader.ok() && name.empty()) {
-    return util::Status::failed_precondition(
-        "no default store — start the daemon with --store, or name one with "
-        "\"store\"");
-  }
-  if (reader.ok() && !name.empty()) {
-    std::lock_guard<std::mutex> lock(session.opened_mu);
-    session.opened.emplace(name, *reader);
-  }
-  return reader;
-}
-
-util::StatusOr<util::Json> Service::handle_open(Session& session,
-                                                const util::Json& params) {
+util::StatusOr<util::Json> Service::handle_open(Session&, const util::Json& params) {
   std::string path = params.get_string("path");
   if (path.empty()) return util::Status::invalid_argument("open: need \"path\"");
   auto reader = registry_.get(path);
   if (!reader.ok()) return reader.status();
-  {
-    std::lock_guard<std::mutex> lock(session.opened_mu);
-    session.opened.emplace(path, *reader);
-  }
   util::Json result = util::Json::object();
   result["path"] = path;
   result["countries"] = (*reader)->num_countries();
@@ -268,9 +247,14 @@ util::StatusOr<util::Json> Service::handle_open(Session& session,
   return result;
 }
 
-util::StatusOr<util::Json> Service::handle_query(Session& session,
-                                                 const util::Json& params) {
-  auto reader = resolve_store(session, params);
+util::StatusOr<util::Json> Service::handle_query(Session&, const util::Json& params) {
+  std::string name = params.get_string("store");
+  auto reader = registry_.get(name);
+  if (!reader.ok() && name.empty()) {
+    return util::Status::failed_precondition(
+        "no default store — start the daemon with --store, or name one with "
+        "\"store\"");
+  }
   if (!reader.ok()) return reader.status();
   return answer_query(**reader, params);
 }

@@ -130,8 +130,6 @@ class Service {
   // One per row of the table, reached only through handle().
   Handler handle_ping, handle_health, handle_stats, handle_shutdown, handle_open, handle_query,
       handle_submit_study, handle_study_status, handle_sleep;
-  util::StatusOr<std::shared_ptr<store::Reader>> resolve_store(Session& session,
-                                                               const util::Json& params);
 
   ServiceOptions options_;
   StoreRegistry registry_;

@@ -123,9 +123,6 @@ struct Session {
   bool bucket_primed = false;
   std::chrono::steady_clock::time_point last_refill;
 
-  /// Paths this client opened (diagnostics; handles live in the registry).
-  std::map<std::string, std::shared_ptr<store::Reader>> opened;
-  std::mutex opened_mu;
   /// Requests observed on this session (per-client metrics label
   /// `serve.session.requests` is summed from these at health time).
   std::atomic<uint64_t> requests{0};

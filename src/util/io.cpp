@@ -5,7 +5,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
 #include <cstring>
 
@@ -15,8 +14,6 @@
 namespace gam::util::io {
 
 namespace {
-
-std::atomic<const FaultInjector*> g_faults{nullptr};
 
 /// ENOSPC-family errnos are backpressure (the operator can free space and
 /// retry); everything else is an internal I/O failure.
@@ -60,14 +57,6 @@ int checked_fsync(int fd) { return ::fsync(fd); }
 
 }  // namespace
 
-void set_fault_injector(const FaultInjector* injector) {
-  g_faults.store(injector, std::memory_order_release);
-}
-
-const FaultInjector* fault_injector() {
-  return g_faults.load(std::memory_order_acquire);
-}
-
 Status fsync_parent_dir(const std::string& path) {
   size_t slash = path.find_last_of('/');
   std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
@@ -86,7 +75,6 @@ Status fsync_parent_dir(const std::string& path) {
 AtomicFileWriter::AtomicFileWriter(std::string path, WriteOptions options)
     : path_(std::move(path)), tmp_(path_ + ".tmp"), options_(std::move(options)) {
   if (options_.fault_key.empty()) options_.fault_key = default_key(path_);
-  if (options_.faults == nullptr) options_.faults = fault_injector();
 }
 
 AtomicFileWriter::~AtomicFileWriter() {
@@ -233,7 +221,6 @@ Status durable_append(const std::string& path, std::string_view bytes,
                       const WriteOptions& options) {
   WriteOptions opts = options;
   if (opts.fault_key.empty()) opts.fault_key = default_key(path);
-  if (opts.faults == nullptr) opts.faults = fault_injector();
   const FaultPlan* plan = opts.faults ? &opts.faults->plan() : nullptr;
 
   int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);

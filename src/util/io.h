@@ -36,11 +36,12 @@
 //                 flushes — so tests can prove the old-or-new contract by
 //                 actually dying there (see test_io's crash-point sweep).
 //
-// The injector is either passed explicitly (WriteOptions::faults — the
-// checkpoint journal does this so its (plan, seed) stream is used) or taken
-// from the process-global pointer installed by set_fault_injector() (the CLI
-// and worldgen::run_study install it when --fault-plan is armed). Both
-// disarmed is the production configuration and costs one atomic load.
+// A write draws io faults only from the injector it is handed
+// (WriteOptions::faults): the checkpoint journal passes its own (plan, seed)
+// injector, and store::Writer, store::ShardWriter and store::merge_shards
+// pass the study's. There is no process-global injector, so a faulted study
+// never reaches a write that another thread makes. No injector is the
+// production configuration and costs one pointer test per fault point.
 //
 // Determinism: fault decisions draw from FaultInjector::roll("io",
 // <fault_key>/<fault>, p) — a pure function of (plan, seed, key) — so a
@@ -71,15 +72,9 @@ struct WriteOptions {
   /// Substream key for fault decisions; defaults to the target path's
   /// filename so a sweep can arm one artifact without touching others.
   std::string fault_key;
-  /// Explicit injector; nullptr falls back to the process-global one.
+  /// The only source of this write's io faults; nullptr draws none.
   const FaultInjector* faults = nullptr;
 };
-
-/// Install/read the process-global injector consulted when
-/// WriteOptions::faults is null. Install before worker threads start (the
-/// CLI does it at arm time); nullptr disarms.
-void set_fault_injector(const FaultInjector* injector);
-const FaultInjector* fault_injector();
 
 /// fsync the directory containing `path`, making a just-renamed entry
 /// durable. A no-op for paths with no directory component is an fsync of ".".

@@ -1,28 +1,15 @@
 #include "world/country.h"
 
-#include <atomic>
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
-#include <deque>
-#include <mutex>
+#include <optional>
 
 #include "util/logging.h"
 
 namespace gam::world {
 
 namespace {
-
-// Synthetic vantage countries live outside the static table so all() — and
-// with it every legacy world — is untouched by scale mode. A deque keeps
-// references stable across registration; the atomic count lets lock-free
-// readers see only fully-constructed entries.
-std::mutex g_synthetic_mu;
-std::deque<CountryInfo>& synthetic_storage() {
-  static std::deque<CountryInfo> storage;
-  return storage;
-}
-std::atomic<size_t> g_synthetic_count{0};
 
 CountryInfo make_synthetic(size_t index) {
   CountryInfo ci;
@@ -49,6 +36,38 @@ CountryInfo make_synthetic(size_t index) {
   ci.cctld = lower;
   ci.gov_tlds = {"gov." + lower};
   return ci;
+}
+
+/// Every synthetic country, indexed like its code. It lives outside the
+/// static table so all(), and with it every paper world, never sees it.
+const std::vector<CountryInfo>& synthetic_table() {
+  static const std::vector<CountryInfo> table = [] {
+    std::vector<CountryInfo> countries;
+    countries.reserve(CountryDb::kSyntheticCountries);
+    for (size_t i = 0; i < CountryDb::kSyntheticCountries; ++i) {
+      countries.push_back(make_synthetic(i));
+    }
+    return countries;
+  }();
+  return table;
+}
+
+/// The index a synthetic_code() names: "V" and two digits of [0-9A-Z].
+std::optional<size_t> synthetic_index(std::string_view code) {
+  if (code.size() != 3 || code[0] != 'V') return std::nullopt;
+  size_t index = 0;
+  for (char c : code.substr(1)) {
+    size_t digit;
+    if (c >= '0' && c <= '9') {
+      digit = static_cast<size_t>(c - '0');
+    } else if (c >= 'A' && c <= 'Z') {
+      digit = static_cast<size_t>(c - 'A') + 10;
+    } else {
+      return std::nullopt;
+    }
+    index = index * 36 + digit;
+  }
+  return index;
 }
 
 }  // namespace
@@ -83,23 +102,11 @@ const CountryDb& CountryDb::instance() {
 }
 
 const CountryInfo* CountryDb::find(std::string_view code) const {
+  if (std::optional<size_t> index = synthetic_index(code)) return &synthetic_table()[*index];
   for (const auto& c : countries_) {
     if (c.code == code) return &c;
   }
-  const size_t n = g_synthetic_count.load(std::memory_order_acquire);
-  const std::deque<CountryInfo>& synth = synthetic_storage();
-  for (size_t i = 0; i < n; ++i) {
-    if (synth[i].code == code) return &synth[i];
-  }
   return nullptr;
-}
-
-void CountryDb::ensure_synthetic(size_t count) {
-  std::lock_guard<std::mutex> lock(g_synthetic_mu);
-  std::deque<CountryInfo>& synth = synthetic_storage();
-  while (synth.size() < count) synth.push_back(make_synthetic(synth.size()));
-  size_t cur = g_synthetic_count.load(std::memory_order_relaxed);
-  if (synth.size() > cur) g_synthetic_count.store(synth.size(), std::memory_order_release);
 }
 
 std::string CountryDb::synthetic_code(size_t index) {

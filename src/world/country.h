@@ -55,24 +55,27 @@ class CountryDb {
  public:
   static const CountryDb& instance();
 
+  /// Scale mode's synthetic vantage countries, "V00".."VZZ": "V" and two
+  /// base-36 digits, so 3-char codes cannot collide with ISO alpha-2.
+  static constexpr size_t kSyntheticCountries = 36 * 36;
+
+  /// A static country, or a synthetic one: every process resolves every
+  /// "V.." code. Each synthetic country is a pure function of its index —
+  /// geography, continent, policy class — independent of the world seed, so
+  /// two scaled worlds, and a store read in another process, agree on it.
+  /// The synthetic table is immutable, built on the first "V.." lookup.
   const CountryInfo* find(std::string_view code) const;
   /// Lookup that must succeed; terminates on unknown code (programming error).
   const CountryInfo& at(std::string_view code) const;
-  /// The static countries only — synthetic registrations never appear here,
-  /// so legacy worlds built in the same process stay byte-identical.
+  /// The static countries only, so paper worlds never build the synthetic
+  /// table and stay byte-identical.
   const std::vector<CountryInfo>& all() const;
   std::vector<const CountryInfo*> by_continent(geo::Continent c) const;
 
   /// Distance in km between the primary cities of two countries.
   double distance_km(std::string_view code_a, std::string_view code_b) const;
 
-  /// Scale mode: make the first `count` synthetic vantage countries
-  /// ("V00".."VZZ"; 3-char codes cannot collide with ISO alpha-2)
-  /// resolvable through find()/at(). Each country is a pure function of its
-  /// index — geography, continent, policy class — independent of the world
-  /// seed, so two scaled worlds agree on the map. Idempotent and monotonic;
-  /// call before worker threads start (worldgen does, during build).
-  static void ensure_synthetic(size_t count);
+  /// The code of synthetic country `index`, in [0, kSyntheticCountries).
   static std::string synthetic_code(size_t index);
 
  private:

@@ -3,8 +3,9 @@
 //
 // Legacy mode (scale_countries == 0) mirrors the paper exactly: the 23
 // calibration rows, the constants build_web always used, all() as the map.
-// Scale mode registers `scale_countries` synthetic vantage countries with
-// the CountryDb and derives a calibration row for each from the world seed —
+// Scale mode measures from the CountryDb's first `scale_countries` synthetic
+// vantage countries and derives a calibration row for each from the world
+// seed —
 // destination mixes point at the real transit hubs, so SOL constraints,
 // rDNS hints, and the whole geolocation funnel stay meaningful at any
 // country count.
@@ -96,7 +97,6 @@ void prepare_scale(Builder& b) {
     b.scale.candidates = b.scale.reg_sites + std::max<size_t>(5, b.scale.reg_sites / 5);
     b.scale.ranked = b.scale.reg_sites + 5;
 
-    world::CountryDb::ensure_synthetic(countries);
     util::Rng cal_rng = b.rng.fork("scale-cal");
     for (size_t i = 0; i < countries; ++i) {
       b.cals.push_back(synthetic_calibration(b.vantage[i], i, b.scale, cal_rng));

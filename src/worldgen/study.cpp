@@ -13,7 +13,6 @@
 #include "store/shard.h"
 #include "store/writer.h"
 #include "trackers/identify.h"
-#include "util/io.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/rng.h"
@@ -38,22 +37,6 @@ struct CountryOutcome {
   bool resumed = false;        // restored from the checkpoint journal
   std::string shard_path;      // shard mode: the published (or reused) shard
   uint32_t shard_crc = 0;
-};
-
-/// Installs `faults` as the process-global io injector for a scope,
-/// restoring whatever was there before (nesting-safe).
-class ScopedIoFaults {
- public:
-  explicit ScopedIoFaults(const util::FaultInjector* faults)
-      : prev_(util::io::fault_injector()) {
-    util::io::set_fault_injector(faults);
-  }
-  ~ScopedIoFaults() { util::io::set_fault_injector(prev_); }
-  ScopedIoFaults(const ScopedIoFaults&) = delete;
-  ScopedIoFaults& operator=(const ScopedIoFaults&) = delete;
-
- private:
-  const util::FaultInjector* prev_;
 };
 
 }  // namespace
@@ -205,16 +188,13 @@ StudyResult run_study(World& world, const StudyOptions& options) {
 
   // Fault plane: disarmed (nullptr) unless the caller engaged a plan, in
   // which case even an all-zero plan is armed — that is the retry-overhead
-  // benchmark configuration. The injector outlives every task via `env`.
+  // benchmark configuration. The injector outlives every task via `env`,
+  // and each of the study's writes names it (shard, store, merge); the
+  // journal builds its own from the same plan and seed.
   util::FaultInjector injector;
-  std::optional<ScopedIoFaults> io_faults;
   if (options.fault_plan) {
     injector = util::FaultInjector(*options.fault_plan, options.seed);
     env.faults = &injector;
-    // Arm the durable-write plane for the study's lifetime too, so io faults
-    // reach artifact writes that don't take an explicit injector. Restored
-    // on every exit path (including the journal-lock throw below).
-    io_faults.emplace(&injector);
   }
 
   // Shared, immutable analysis substrate. Everything here is read-only after
@@ -223,7 +203,7 @@ StudyResult run_study(World& world, const StudyOptions& options) {
   probe::TracerouteEngine engine(world.topology, *world.resolver);
   geoloc::MultiConstraintGeolocator geolocator(world.geodb, world.reference, world.atlas,
                                                engine);
-  geolocator.set_fault_injector(env.faults);
+  geolocator.set_faults(env.faults);
   trackers::TrackerIdentifier identifier;
   analysis::CountryAnalyzer analyzer(geolocator, identifier, world.universe);
 

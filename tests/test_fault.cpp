@@ -5,12 +5,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/parallel_runner.h"
 #include "util/json.h"
 #include "util/retry.h"
+#include "util/rng.h"
 
 namespace gam {
 namespace {
@@ -70,6 +78,121 @@ TEST(FaultPlan, RejectsUnknownKeysAndBadValues) {
   EXPECT_FALSE(util::FaultPlan::from_json(*not_number).has_value());
 
   EXPECT_FALSE(util::FaultPlan::from_json(util::Json(3)).has_value());
+}
+
+// ---- The fault-plan loader is a front door (`--fault-plan FILE`): every
+// seeded mutation of a valid plan's text is refused (nullopt) or yields a
+// valid plan that round-trips, through both entry points, and none aborts.
+
+/// One "group": {"key": value} member of a plan's text. The value is kept
+/// as text, so a mutation can write what no double prints: 1e999, a string.
+struct PlanEntry {
+  std::string group, key, value;
+};
+
+std::string render(const std::vector<PlanEntry>& entries) {
+  std::string text = "{";
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const PlanEntry& e = entries[i];
+    if (i == 0 || e.group != entries[i - 1].group) {
+      text += (i == 0 ? "\"" : ", \"") + e.group + "\": {";
+    } else {
+      text += ", ";
+    }
+    text += "\"" + e.key + "\": " + e.value;
+    if (i + 1 == entries.size() || entries[i + 1].group != e.group) text += "}";
+  }
+  return text + "}";
+}
+
+/// A near miss of `name`: two letters swapped, one dropped, one added, or
+/// the first upper-cased.
+std::string misspell(std::string name, util::Rng& rng) {
+  if (name.empty()) return "x";
+  size_t at = rng.uniform(name.size());
+  switch (rng.uniform(4)) {
+    case 0:
+      if (at + 1 < name.size()) std::swap(name[at], name[at + 1]);
+      else name += "_";
+      break;
+    case 1: name.erase(at, 1); break;
+    case 2: name.insert(at, 1, 'x'); break;
+    default: name[0] = static_cast<char>(std::toupper(static_cast<unsigned char>(name[0])));
+  }
+  return name;
+}
+
+std::string mutated_plan_text(util::Rng& rng) {
+  static const char* kWrongTypes[] = {"\"0.1\"", "[0.1]", "{\"p\": 0.1}", "true", "null", "\"\""};
+  static const char* kEdgeValues[] = {"-0.1", "1.0000001", "2",      "1e999", "-1e999",
+                                      "1e308", "0",         "1",      "-0",    "1e-400",
+                                      "0.5",   "1E0",       "0.9999999999"};
+  static const char* kShapes[] = {"[]", "3", "\"plan\"", "null", "{\"dns\": 0.1}",
+                                  "{\"dns\": []}", "{}", ""};
+  if (rng.chance(0.05)) return kShapes[rng.uniform(std::size(kShapes))];
+
+  std::vector<PlanEntry> entries;
+  const util::Json base = sample_plan().to_json();
+  for (const auto& [group, members] : base.fields()) {
+    for (const auto& [key, value] : members.fields()) {
+      entries.push_back({group, key, value.dump()});
+    }
+  }
+  const size_t edits = rng.uniform(4);
+  for (size_t n = 0; n < edits; ++n) {
+    PlanEntry& e = entries[rng.uniform(entries.size())];
+    switch (rng.uniform(6)) {
+      case 0: e.key = misspell(e.key, rng); break;
+      case 1: e.group = misspell(e.group, rng); break;
+      case 2: entries.push_back({e.group, "bogus", "0.1"}); break;
+      case 3: e.value = kWrongTypes[rng.uniform(std::size(kWrongTypes))]; break;
+      case 4: e.value = kEdgeValues[rng.uniform(std::size(kEdgeValues))]; break;
+      default: entries.push_back({"bogus", e.key, e.value}); break;
+    }
+  }
+  std::string text = render(entries);
+  if (rng.chance(0.3)) {
+    const size_t flips = 1 + rng.uniform(4);
+    for (size_t n = 0; n < flips; ++n) {
+      text[rng.uniform(text.size())] = static_cast<char>(rng.uniform(256));
+    }
+  }
+  if (rng.chance(0.2)) text.resize(rng.uniform(text.size()));
+  return text;
+}
+
+TEST(FaultPlanFuzz, EveryInputIsRefusedOrAValidPlanThatRoundTrips) {
+  util::Rng rng = util::Rng::substream(2626, "fault-plan-fuzz");
+  const std::string path = ::testing::TempDir() + "fuzzed-plan.json";
+  size_t accepted = 0, refused = 0;
+  for (int round = 0; round < 600; ++round) {
+    const std::string text = mutated_plan_text(rng);
+    SCOPED_TRACE(::testing::PrintToString(text));
+    std::optional<util::FaultPlan> plan;
+    if (std::optional<util::Json> doc = util::Json::parse(text)) {
+      plan = util::FaultPlan::from_json(*doc);
+    }
+    if (plan) {
+      ++accepted;
+      EXPECT_TRUE(plan->valid());
+      std::optional<util::FaultPlan> again = util::FaultPlan::from_json(plan->to_json());
+      ASSERT_TRUE(again.has_value());
+      EXPECT_EQ(again->to_json(), plan->to_json());
+    } else {
+      ++refused;
+    }
+    // The file loader reads the same bytes and must reach the same verdict.
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+    std::optional<util::FaultPlan> loaded = util::FaultPlan::load_file(path);
+    ASSERT_EQ(loaded.has_value(), plan.has_value());
+    if (loaded) {
+      EXPECT_EQ(loaded->to_json(), plan->to_json());
+    }
+  }
+  std::remove(path.c_str());
+  // The corpus reaches both verdicts, or it tests only one of them.
+  EXPECT_GT(accepted, 50u);
+  EXPECT_GT(refused, 50u);
 }
 
 TEST(FaultInjector, DisarmedNeverFires) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string_view>
 
 #include "util/strings.h"
 
@@ -32,6 +33,13 @@ TracerouteResult sample_result() {
   h3.rtts_ms = {43.8, 44.2, 43.1};  // no hostname
   r.hops = {h1, h2, h3};
   return r;
+}
+
+/// Text the normalizer refuses: a structured error and a null document.
+void expect_refused(std::string_view text, OsKind os) {
+  NormalizedTrace out = normalize_traceroute_checked(text, os);
+  EXPECT_FALSE(out.ok()) << text;
+  EXPECT_TRUE(out.doc.is_null()) << text;
 }
 
 TEST(Formats, LinuxTextShape) {
@@ -69,7 +77,7 @@ TEST(Formats, MacOsIsTracerouteFamily) {
 TEST(Normalize, LinuxRoundTripMatchesDirectJson) {
   TracerouteResult r = sample_result();
   util::Json direct = traceroute_to_json(r);
-  util::Json normalized = normalize_traceroute(format_linux(r), OsKind::Linux);
+  util::Json normalized = normalize_traceroute_checked(format_linux(r), OsKind::Linux).doc;
   ASSERT_TRUE(normalized.is_object());
   EXPECT_EQ(normalized.get_string("target"), direct.get_string("target"));
   EXPECT_EQ(normalized.get_bool("reached"), direct.get_bool("reached"));
@@ -93,8 +101,8 @@ TEST(Normalize, LinuxRoundTripMatchesDirectJson) {
 TEST(Normalize, WindowsAndLinuxAgreeOnStructure) {
   // The §3 guarantee: identical structure regardless of the OS tool.
   TracerouteResult r = sample_result();
-  util::Json lin = normalize_traceroute(format_linux(r), OsKind::Linux);
-  util::Json win = normalize_traceroute(format_windows(r), OsKind::Windows);
+  util::Json lin = normalize_traceroute_checked(format_linux(r), OsKind::Linux).doc;
+  util::Json win = normalize_traceroute_checked(format_windows(r), OsKind::Windows).doc;
   ASSERT_TRUE(lin.is_object());
   ASSERT_TRUE(win.is_object());
   EXPECT_EQ(lin.get_string("target"), win.get_string("target"));
@@ -119,19 +127,16 @@ TEST(Normalize, UnreachedTraceIsNotReached) {
   TracerouteResult r = sample_result();
   r.reached = false;
   r.hops.pop_back();  // destination never answered
-  util::Json lin = normalize_traceroute(format_linux(r), OsKind::Linux);
-  util::Json win = normalize_traceroute(format_windows(r), OsKind::Windows);
+  util::Json lin = normalize_traceroute_checked(format_linux(r), OsKind::Linux).doc;
+  util::Json win = normalize_traceroute_checked(format_windows(r), OsKind::Windows).doc;
   EXPECT_FALSE(lin.get_bool("reached", true));
   EXPECT_FALSE(win.get_bool("reached", true));
 }
 
 TEST(Normalize, MalformedTextReturnsNull) {
-  EXPECT_TRUE(normalize_traceroute("not a traceroute at all", OsKind::Linux).is_null());
-  EXPECT_TRUE(normalize_traceroute("", OsKind::Windows).is_null());
-  EXPECT_TRUE(
-      normalize_traceroute("traceroute to 1.2.3.4 (1.2.3.4), 30 hops max\ngarbage line",
-                           OsKind::Linux)
-          .is_null());
+  expect_refused("not a traceroute at all", OsKind::Linux);
+  expect_refused("", OsKind::Windows);
+  expect_refused("traceroute to 1.2.3.4 (1.2.3.4), 30 hops max\ngarbage line", OsKind::Linux);
 }
 
 TEST(Normalize, OsKindNames) {
@@ -164,8 +169,8 @@ TEST_P(NormalizeSweep, CrossOsAgreement) {
     r.target = net::ip_to_string(r.hops.back().ip);
     r.reached = true;
   }
-  util::Json lin = normalize_traceroute(format_linux(r), OsKind::Linux);
-  util::Json win = normalize_traceroute(format_windows(r), OsKind::Windows);
+  util::Json lin = normalize_traceroute_checked(format_linux(r), OsKind::Linux).doc;
+  util::Json win = normalize_traceroute_checked(format_windows(r), OsKind::Windows).doc;
   ASSERT_TRUE(lin.is_object());
   ASSERT_TRUE(win.is_object());
   EXPECT_EQ(lin.get_bool("reached"), win.get_bool("reached"));
@@ -271,9 +276,8 @@ TEST(NormalizeChecked, UnterminatedParenIpRejected) {
   EXPECT_FALSE(normalize_traceroute_checked(text, OsKind::Linux).ok());
 }
 
-TEST(NormalizeChecked, BackCompatWrapperReturnsNullDocOnFailure) {
-  util::Json doc = normalize_traceroute("complete garbage", OsKind::Linux);
-  EXPECT_TRUE(doc.is_null());
+TEST(NormalizeChecked, GarbageYieldsAnErrorAndANullDoc) {
+  expect_refused("complete garbage", OsKind::Linux);
 }
 
 }  // namespace

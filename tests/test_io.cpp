@@ -132,15 +132,6 @@ TEST(AtomicWrite, FsyncParentDirOk) {
   EXPECT_TRUE(util::io::fsync_parent_dir(tmp_path("any.file")).ok());
 }
 
-TEST(AtomicWrite, GlobalInjectorInstallAndRestore) {
-  ASSERT_EQ(util::io::fault_injector(), nullptr);
-  util::FaultInjector inj(util::FaultPlan{}, 1);
-  util::io::set_fault_injector(&inj);
-  EXPECT_EQ(util::io::fault_injector(), &inj);
-  util::io::set_fault_injector(nullptr);
-  EXPECT_EQ(util::io::fault_injector(), nullptr);
-}
-
 // ---------------------------------------------------------------------------
 // Injected io faults: structured status, no artifact, no tmp leak.
 

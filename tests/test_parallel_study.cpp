@@ -6,15 +6,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "analysis/study.h"
 #include "core/parallel_runner.h"
 #include "core/recorder.h"
+#include "util/fault.h"
+#include "util/io.h"
+#include "world/country.h"
 #include "worldgen/study.h"
 #include "worldgen/world.h"
 
@@ -199,6 +207,56 @@ TEST(ParallelStudy, PublishedTracesAgreeWithTypedValues) {
   RecordProperty("atlas", static_cast<int>(atlas));
   RecordProperty("worst_text_ms", std::to_string(worst_text));
   RecordProperty("worst_tracert_ms", std::to_string(worst_tracert));
+}
+
+// A study's io faults reach only the writes the study makes: a write that
+// another thread makes while a faulted study runs draws none of them.
+TEST(ParallelStudy, FaultedStudyLeavesOtherThreadsWritesAlone) {
+  util::FaultPlan plan;
+  plan.io_short_write = 1.0;
+  auto progress = std::make_shared<worldgen::StudyProgress>();
+  worldgen::StudyOptions options;
+  options.seed = 7;
+  options.jobs = 1;
+  options.fault_plan = plan;
+  options.progress = progress;
+  auto& paper = const_cast<worldgen::World&>(shared_world());
+  const size_t countries = world::source_countries().size();
+
+  std::atomic<bool> returned{false};
+  std::string study_error;
+  std::thread study([&] {
+    try {
+      worldgen::run_study(paper, options);
+    } catch (const std::exception& e) {
+      study_error = e.what();
+    }
+    returned = true;
+  });
+  const std::string path = ::testing::TempDir() + "written-beside-a-faulted-study.txt";
+  size_t mid_study_writes = 0;
+  while (!returned) {
+    if (progress->completed() >= 1 && progress->completed() < countries) {
+      util::Status written = util::io::atomic_write_file(path, "bytes\n");
+      EXPECT_TRUE(written.ok()) << written.to_string();
+      if (progress->completed() < countries) ++mid_study_writes;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  study.join();
+  std::remove(path.c_str());
+  EXPECT_EQ(study_error, "");
+  EXPECT_GT(mid_study_writes, 0u) << "no write landed between the first and last country";
+
+  // The study's own store write still draws the plan's fault.
+  options.store_out = ::testing::TempDir() + "faulted-study.gmst";
+  try {
+    worldgen::run_study(paper, options);
+    ADD_FAILURE() << "the injected store-write fault did not fire";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("store write failed"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("(injected)"), std::string::npos) << e.what();
+  }
 }
 
 TEST(ParallelStudy, UnknownCountryIsRejectedBeforeAnySession) {

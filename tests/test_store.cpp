@@ -233,8 +233,8 @@ TEST(StoreReports, EdgeFixtureRoundTripsByteIdentically) {
 }
 
 TEST(StoreReports, PolicyOverAnUnknownCountryCodeIsFailedPrecondition) {
-  // A store written for a code this process's CountryDb does not know (a
-  // synthetic code from another process's scale world, say) must get a
+  // A store written for a code that no CountryDb knows (a hand-made "ZZ";
+  // every synthetic "V.." code resolves in any process) must get a
   // structured error naming the code from the report-name table, not abort.
   analysis::CountryAnalysis zz;
   zz.country = "ZZ";

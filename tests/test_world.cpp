@@ -6,6 +6,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "worldgen/world.h"
@@ -77,6 +78,73 @@ TEST(World, WideEnoughForSixtyDestinationCountries) {
 
 TEST(World, FindUnknownReturnsNull) {
   EXPECT_EQ(CountryDb::instance().find("ZZ"), nullptr);
+}
+
+// The first synthetic lookups race from four threads: each gets the same
+// 1,296 distinct entries, and TSan sees the table built once.
+TEST(World, ConcurrentFirstSyntheticLookupsAgree) {
+  std::vector<std::vector<const CountryInfo*>> seen(4);
+  std::vector<std::thread> threads;
+  for (auto& mine : seen) {
+    threads.emplace_back([&mine] {
+      for (size_t i = 0; i < CountryDb::kSyntheticCountries; ++i) {
+        mine.push_back(CountryDb::instance().find(CountryDb::synthetic_code(i)));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const auto& mine : seen) EXPECT_EQ(mine, seen.front());
+  std::set<const CountryInfo*> distinct(seen.front().begin(), seen.front().end());
+  EXPECT_EQ(distinct.size(), CountryDb::kSyntheticCountries);
+  for (size_t i = 0; i < CountryDb::kSyntheticCountries; ++i) {
+    ASSERT_NE(seen.front()[i], nullptr) << i;
+    EXPECT_EQ(seen.front()[i]->code, CountryDb::synthetic_code(i));
+  }
+}
+
+// Every process resolves every synthetic "V.." code without building a
+// scale world, so a scale study's store reports in any process.
+TEST(World, SyntheticCountriesResolveInEveryProcess) {
+  const auto& db = CountryDb::instance();
+  const CountryInfo* v00 = db.find("V00");
+  ASSERT_NE(v00, nullptr);
+  EXPECT_EQ(v00->name, "Vantage V00");
+  EXPECT_EQ(v00->continent, geo::Continent::Asia);
+  EXPECT_EQ(v00->policy, PolicyType::CS);
+  EXPECT_FALSE(v00->policy_enacted);
+  EXPECT_EQ(v00->cctld, "v00");
+  EXPECT_EQ(v00->gov_tlds, std::vector<std::string>{"gov.v00"});
+  ASSERT_EQ(v00->cities.size(), 1u);
+  EXPECT_EQ(v00->cities[0].name, "Vantage V00 City");
+  EXPECT_EQ(v00->cities[0].iata, "V00");
+  EXPECT_DOUBLE_EQ(v00->cities[0].coord.lat, -54.0);
+  EXPECT_DOUBLE_EQ(v00->cities[0].coord.lon, -180.0);
+
+  const CountryInfo* v05 = db.find("V05");
+  ASSERT_NE(v05, nullptr);
+  EXPECT_EQ(v05->continent, geo::Continent::Oceania);
+  EXPECT_EQ(v05->policy, PolicyType::CS);
+  EXPECT_TRUE(v05->policy_enacted);
+  EXPECT_EQ(v05->gov_tlds, std::vector<std::string>{"gov.v05"});
+  EXPECT_NEAR(v05->primary_city().coord.lat, -34.5, 1e-9);
+  EXPECT_NEAR(v05->primary_city().coord.lon, 147.5388, 1e-9);
+
+  const CountryInfo* vzz = db.find("VZZ");  // index 1295, the last code
+  ASSERT_NE(vzz, nullptr);
+  EXPECT_EQ(vzz->name, "Vantage VZZ");
+  EXPECT_EQ(vzz->continent, geo::Continent::Oceania);
+  EXPECT_EQ(vzz->policy, PolicyType::CS);
+  EXPECT_TRUE(vzz->policy_enacted);
+  EXPECT_EQ(vzz->gov_tlds, std::vector<std::string>{"gov.vzz"});
+  EXPECT_NEAR(vzz->primary_city().coord.lat, 46.5, 1e-9);
+  EXPECT_NEAR(vzz->primary_city().coord.lon, 52.5492, 1e-9);
+
+  EXPECT_EQ(&db.at("V05"), v05);
+  for (const char* code : {"V0", "V000", "v00", "V0a", "W00", "V", "", "V-1"}) {
+    EXPECT_EQ(db.find(code), nullptr) << code;
+  }
+  // all() is the static table alone, so paper worlds never see a "V.." code.
+  EXPECT_EQ(db.all().size(), 77u);
 }
 
 TEST(World, GovTldsForAllSourceCountries) {

@@ -5,8 +5,9 @@
 #
 # Smoke arms (each runs even if an earlier arm failed; any failure makes the
 # final exit nonzero):
-#   resume  kill a study mid-run with SIGKILL, --resume must reproduce the
-#           uninterrupted output and GMST store byte-for-byte
+#   resume  SIGKILL a study once its journal holds a record (and before it
+#           holds them all), --resume must reproduce the uninterrupted
+#           output and GMST store byte-for-byte
 #   store   build a .gmst, query it (bytes == JSON analysis path), corrupt a
 #           copy (structured crc_mismatch, never a crash)
 #   trace   record spans, aggregate with `gamma trace`, span stream and
@@ -19,16 +20,15 @@
 #           a dead-port window and then under concurrent retry-armed client
 #           load; every `gamma client query --retry` must succeed with bytes
 #           identical to `gamma store query`
-#   shard   sharded study SIGKILLed mid-run, --resume reuses the published
-#           shards, shards re-merged standalone in reverse order, and every
-#           `gamma store query` report over the merged store byte-diffed
-#           against the unsharded build
+#   shard   sharded study SIGKILLed on the same journal trigger, --resume
+#           reuses the published shards, shards re-merged standalone in
+#           reverse order, and every `gamma store query` report over the
+#           merged store byte-diffed against the unsharded build
 #   pulse   daemon at --slow-ms 0 with --slow-log armed: every request must
 #           land in the JSONL sink with the full 16-field schema, a
 #           submitted study's study_status RPC must reach "done", and
 #           `gamma top --once --json` must emit a parseable sample
-#   hostile an unknown --country, a non-numeric --jobs, a policy report
-#           over a store of codes this process does not know, a suffixed
+#   hostile an unknown --country, a non-numeric --jobs, a suffixed
 #           --limit, a flag the command does not read (each input a command
 #           once dropped silently), a study rule broken (`--resume` without
 #           `--checkpoint`, a missing fault plan), `har --country ZZ`, an
@@ -37,11 +37,12 @@
 #           nonzero, below 128), never a signal; a port file holding "1abc"
 #           and `client ping --retry-base-ms nan` must exit 2 without
 #           dialing, as must `store query --report` beside a scan flag;
-#           `gamma run --out` into a missing directory must create it
+#           `gamma run --out` into a missing directory must create it, and
+#           a new process must answer the policy report over a scale store
 #
 # Sanitizers:
 #   tsan  -> shared-state suites (thread pool, parallel study runner,
-#            metrics, tracer, serve daemon)
+#            metrics, tracer, serve daemon, synthetic country table)
 #   asan  -> fault-plane + parser + store + serve suites (heap misuse in
 #            degraded paths)
 #   ubsan -> the same suites (UB in backoff arithmetic, hop parsing, mmap
@@ -93,6 +94,34 @@ run_arm() {
   return 0
 }
 
+# Run `gamma ARGS...` in the background and SIGKILL it as soon as JOURNAL
+# holds its header and at least one record, so the kill lands mid-study on
+# any host. Fails if the journal already held all RECORDS records by then:
+# an arm that resumes nothing must not pass silently.
+kill_on_journal_progress() {  # JOURNAL RECORDS ARGS...
+  local journal="$1" records="$2"; shift 2
+  "$GAMMA" "$@" >/dev/null &
+  local pid=$! lines=0 polls=0
+  until [[ $lines -ge 2 ]]; do
+    polls=$((polls + 1))
+    if [[ $polls -gt 12000 ]]; then
+      kill -KILL "$pid" 2>/dev/null || true
+      echo "   ERROR: $journal held no record after 60s" >&2
+      return 1
+    fi
+    sleep 0.005
+    [[ -f "$journal" ]] && lines="$(wc -l < "$journal")"
+  done
+  kill -KILL "$pid" 2>/dev/null || true
+  wait "$pid" 2>/dev/null || true
+  lines="$(wc -l < "$journal")"
+  echo "   killed with $((lines - 1)) of $records records journaled"
+  if [[ $((lines - 1)) -ge $records ]]; then
+    echo "   ERROR: the study journaled every record before the kill" >&2
+    return 1
+  fi
+}
+
 arm_resume() {
   cat > "$SMOKE/plan.json" <<'EOF'
 {
@@ -107,13 +136,8 @@ EOF
     --out "$SMOKE/uninterrupted" --store-out "$SMOKE/uninterrupted.gmst" >/dev/null
   # SIGKILL the same study partway through (no destructors, no flush beyond
   # the journal's own per-record flush) ...
-  timeout -s KILL 1 "$GAMMA" study --seed 33 --jobs 1 \
-    --fault-plan "$SMOKE/plan.json" --checkpoint "$SMOKE/ckpt" >/dev/null || true
-  local journaled=0
-  if [[ -f "$SMOKE/ckpt/study-33.jsonl" ]]; then
-    journaled="$(wc -l < "$SMOKE/ckpt/study-33.jsonl")"
-  fi
-  echo "   killed after ~1s; journal holds $journaled lines (incl. header)"
+  kill_on_journal_progress "$SMOKE/ckpt/study-33.jsonl" 23 study --seed 33 --jobs 1 \
+    --fault-plan "$SMOKE/plan.json" --checkpoint "$SMOKE/ckpt"
   # ... then --resume must reproduce the uninterrupted output and store
   # byte-for-byte.
   "$GAMMA" study --seed 33 --jobs 1 --fault-plan "$SMOKE/plan.json" \
@@ -342,16 +366,12 @@ arm_shard() {
   "$GAMMA" study --seed 61 --jobs 2 \
     --store-out "$SMOKE/shard/legacy.gmst" >/dev/null
   # Sharded run, SIGKILLed mid-study: the journal and any published shards
-  # are the only thing the resume below may build on. (The window is a
-  # fraction of the ~1.5s uninterrupted runtime; if a faster machine
-  # finishes anyway, the arm still exercises resume with every shard
-  # reused, just without the interruption.)
-  timeout -s KILL 1 "$GAMMA" study --seed 61 --jobs 1 \
-    --shard-dir "$SMOKE/shard/shards" --checkpoint "$SMOKE/shard/ckpt" \
-    >/dev/null || true
+  # are the only thing the resume below may build on.
+  kill_on_journal_progress "$SMOKE/shard/ckpt/study-61.jsonl" 23 study --seed 61 --jobs 1 \
+    --shard-dir "$SMOKE/shard/shards" --checkpoint "$SMOKE/shard/ckpt"
   local published=0
-  published="$(ls "$SMOKE/shard/shards" 2>/dev/null | wc -l)"
-  echo "   killed after ~1s; $published shards published"
+  published="$(ls "$SMOKE/shard/shards" | wc -l)"
+  echo "   $published shards published before the kill"
   # Resume: reuse intact shards (the CLI prints how many), re-measure the
   # rest, merge — byte-identical to the unsharded store.
   "$GAMMA" study --seed 61 --jobs 4 \
@@ -467,10 +487,14 @@ arm_hostile() {
   }
   refused study --country ZZ
   refused study --jobs garbage
-  # Synthetic "V.." codes are known only to the process that generated the
-  # scale world, so a later process has no policy class for them.
+  # Every process knows every synthetic "V.." country, so a process that did
+  # not generate the scale world still answers its policy report.
   "$GAMMA" study --countries 3 --sites 30 --store-out "$SMOKE/hostile/scale.gmst" >/dev/null
-  refused store query "$SMOKE/hostile/scale.gmst" --report policy
+  "$GAMMA" store query "$SMOKE/hostile/scale.gmst" --report policy \
+    >"$SMOKE/hostile/policy.json"
+  local code
+  for code in V00 V01 V02; do grep -q "\"$code\"" "$SMOKE/hostile/policy.json"; done
+  echo "   a new process reports policy over the scale store: V00, V01, V02"
   # Numeric flags parse strictly: a suffixed count or a NaN rate is a usage
   # error, not a silent 12 or NaN. No serve command runs here, so a parsing
   # bug cannot leave a daemon behind.
@@ -538,7 +562,7 @@ run_arm "serve smoke: daemon up, client query, SIGTERM drain" arm_serve
 run_arm "chaos smoke: SIGKILL + restart under retry-armed client load" arm_chaos
 run_arm "shard smoke: kill mid-run, resume, merge, byte-diff all reports" arm_shard
 run_arm "pulse smoke: slow-log at --slow-ms 0, study_status to done, gamma top" arm_pulse
-run_arm "hostile smoke: bad country, bad numeric flags, inapplicable flags, --report beside a scan flag, broken study rules, bad port file, foreign policy query, --out with --shard-dir exit cleanly; --out dirs made up front" arm_hostile
+run_arm "hostile smoke: bad country, bad numeric flags, inapplicable flags, --report beside a scan flag, broken study rules, bad port file, --out with --shard-dir exit cleanly; --out dirs made up front; scale-store policy in a new process" arm_hostile
 
 finish() {
   if [[ ${#FAILURES[@]} -gt 0 ]]; then
@@ -554,7 +578,7 @@ if [[ "$SKIP_SAN" == "1" ]]; then
   finish
 fi
 
-TSAN_SUITES=(test_thread_pool test_parallel_study test_metrics test_trace test_serve test_io test_shard)
+TSAN_SUITES=(test_thread_pool test_parallel_study test_metrics test_trace test_serve test_io test_shard test_world)
 tsan_arm() {
   cmake -B build-tsan -S . -DGAMMA_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j"$JOBS" --target "${TSAN_SUITES[@]}"

@@ -50,6 +50,7 @@
 #include "util/thread_pool.h"
 #include "util/trace.h"
 #include "web/har.h"
+#include "world/country.h"
 #include "worldgen/study.h"
 #include "worldgen/world.h"
 
@@ -95,11 +96,10 @@ struct Args {
   double interval_ms = 1000.0;
 };
 
-// GammaShard scale caps. Synthetic country codes are "V" + two base-36
-// digits, so the code space holds exactly 36*36 vantage countries; the site
-// budget cap keeps one country's working set addressable (sites are split
-// evenly, so the per-slot memory bound scales as sites/countries).
-constexpr size_t kMaxScaleCountries = 1296;
+// GammaShard scale caps: one vantage country per synthetic country code; the
+// site budget cap keeps one country's working set addressable (sites are
+// split evenly, so the per-slot memory bound scales as sites/countries).
+constexpr size_t kMaxScaleCountries = world::CountryDb::kSyntheticCountries;
 constexpr size_t kMaxScaleSites = 5'000'000;
 
 // Strict count parsing for every integer flag and GAMMA_SERVE_PORT: ASCII
